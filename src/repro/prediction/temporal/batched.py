@@ -41,10 +41,11 @@ the batch axis vectorizes within a box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.prediction.base import validate_history
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor, _Mlp
 from repro.prediction.temporal.seasonal import (
@@ -69,12 +70,12 @@ BATCHED_ENV_VAR = "REPRO_BATCHED_TEMPORAL"
 
 #: Default slab width of the fleet-fused kernel: how many models train in
 #: one ``(K, P)`` tensor pass.  Wider slabs amortize more Python dispatch
-#: but push the per-epoch working set out of cache; on paper-shaped
-#: signature histories (~480 training windows) 64 models is the measured
-#: sweet spot — ~1.45× over per-box batches on one core, while 128+
-#: regresses — and slabs are bit-identical to any other split because
-#: every model's RNG stream and row-local math are independent of its
-#: slab neighbours.
+#: per op.  Swept on ``perfbench`` ``paper-neural`` (2-vCPU host, one BLAS
+#: thread, two 30 s runs per width, boxes/s): 16 → 10.6 / 11.0,
+#: 32 → 11.6 / 12.9, 64 → 14.5 / 12.4, 128 → 14.4 / 12.8; 64 and 128 are
+#: within run-to-run noise of each other.  Slabs are bit-identical to any
+#: other split because every model's RNG stream and row-local math are
+#: independent of its slab neighbours.
 FUSED_SLAB_MODELS = 64
 
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -131,9 +132,10 @@ def fit_neural_fused(
     into per-group lists in input order.  Every model is bit-identical to
     its per-group — and therefore per-series serial — fit, because all
     series share ``config.seed`` (identical RNG streams) and every tensor
-    op in the kernel is row-local with per-row flat reductions (see the
-    y_mean note in :func:`_prepare_batch`); which batch a model happens
-    to ride in cannot change its floats.
+    op in the kernel is row-local, with every per-model reduction summing
+    the way the serial one does (see the y_mean note in
+    :func:`_prepare_batch`); which batch a model happens to ride in cannot
+    change its floats.
 
     Failure isolation mirrors the per-box degradation ladder: a group
     whose histories fail validation (too short, non-finite samples) gets
@@ -141,8 +143,6 @@ def fit_neural_fused(
     the caller re-runs exactly those groups down its per-box path, where
     the same error re-raises and climbs the ladder as it always did.
     """
-    from repro import obs
-
     cfg = config or MlpConfig()
     validated: List[Optional[List[np.ndarray]]] = []
     for group in history_groups:
@@ -190,9 +190,28 @@ class _BatchedMlp:
     elementwise ops instead of one op set per layer — elementwise math is
     layout-independent, so every parameter still sees the exact serial
     float sequence.
+
+    A training step allocates no arrays: per-layer activations, ReLU
+    masks, backprop deltas and two Adam scratch buffers are allocated once
+    per fit, at the starting stack width and ``max_rows`` rows, and every
+    op writes through ``out=``.  A call over ``rows`` rows (a minibatch,
+    the ragged last one, the validation set) views the front of the same
+    flat buffers as contiguous ``(K, rows, width)`` arrays, and
+    :meth:`compact` narrows the stack onto the front rows of params and
+    Adam moments.  Every 2-D slice a matmul sees has the strides of a
+    fresh array, so the kernels and every float match a step that
+    allocates its temporaries; preallocating keeps the allocator from
+    handing those multi-hundred-KiB arrays back to the OS on free and
+    faulting them in again on the next step.
     """
 
-    def __init__(self, n_models: int, sizes: Sequence[int], rng: np.random.Generator):
+    def __init__(
+        self,
+        n_models: int,
+        sizes: Sequence[int],
+        rng: np.random.Generator,
+        max_rows: int,
+    ):
         self.n_models = n_models
         # Weights of all layers first, biases after: the L2 gradient term
         # touches exactly params[:, :w_total] as one contiguous slice.
@@ -207,8 +226,20 @@ class _BatchedMlp:
             b_offset += fan_out
         self._n_params = b_offset
 
-        self.params = np.empty((n_models, self._n_params))
-        self.grads = np.empty((n_models, self._n_params))
+        shape = (n_models, self._n_params)
+        self._params_buf = np.empty(shape)
+        self._grads_buf = np.empty(shape)
+        self._adam_m_buf = np.zeros(shape)
+        self._adam_v_buf = np.zeros(shape)
+        self._scratch_buf = (np.empty(shape), np.empty(shape))
+        # Flat per-layer workspace: a call over (k, rows) views the first
+        # k * rows * width entries as a contiguous (k, rows, width) array.
+        self._widths = list(sizes[1:])
+        self._acts_buf = [np.empty(n_models * max_rows * w) for w in self._widths]
+        self._deltas_buf = [np.empty(n_models * max_rows * w) for w in self._widths]
+        self._masks_buf = [
+            np.empty(n_models * max_rows * w, dtype=bool) for w in self._widths[:-1]
+        ]
         self._build_views()
 
         for w, b in zip(self.weights, self.biases):
@@ -216,66 +247,103 @@ class _BatchedMlp:
             scale = np.sqrt(2.0 / fan_in)  # He init, drawn once: seeds are shared
             w[:] = rng.normal(0.0, scale, size=w.shape[1:])[None]
             b[:] = 0.0
-        self._adam_m = np.zeros((n_models, self._n_params))
-        self._adam_v = np.zeros((n_models, self._n_params))
         self._adam_t = 0
 
     def _build_views(self) -> None:
-        """Per-layer weight/bias tensors as strided views into the buffers."""
+        """Views over the first ``n_models`` rows of every buffer.
+
+        Per-layer weight/bias tensors are strided views into the flat
+        params and grads.  Workspace views depend on the row count too and
+        are built on first use (:meth:`_workspace`).
+        """
+        k = self.n_models
+        self.params = self._params_buf[:k]
+        self.grads = self._grads_buf[:k]
+        self._adam_m = self._adam_m_buf[:k]
+        self._adam_v = self._adam_v_buf[:k]
+        self._scratch = tuple(buf[:k] for buf in self._scratch_buf)
+        self._workspaces: Dict[int, _Workspace] = {}
         self.weights: List[np.ndarray] = []
         self.biases: List[np.ndarray] = []
+        self._weights_t: List[np.ndarray] = []
         self._grads_w: List[np.ndarray] = []
         self._grads_b: List[np.ndarray] = []
         for w_off, b_off, fan_in, fan_out in self._layers:
             w_end, b_end = w_off + fan_in * fan_out, b_off + fan_out
-            self.weights.append(self.params[:, w_off:w_end].reshape(-1, fan_in, fan_out))
+            weight = self.params[:, w_off:w_end].reshape(-1, fan_in, fan_out)
+            self.weights.append(weight)
+            self._weights_t.append(weight.transpose(0, 2, 1))
             self.biases.append(self.params[:, b_off:b_end].reshape(-1, 1, fan_out))
             self._grads_w.append(self.grads[:, w_off:w_end].reshape(-1, fan_in, fan_out))
             self._grads_b.append(self.grads[:, b_off:b_end].reshape(-1, 1, fan_out))
 
-    def forward(self, x: np.ndarray, with_masks: bool = True):
-        """Forward pass over ``x`` of shape (K, n, d).
+    def _workspace(self, rows: int) -> _Workspace:
+        """Contiguous (K, rows, width) activation, mask and delta views.
 
-        Returns output, per-layer activations and the ReLU masks (reused by
-        backprop instead of re-deriving ``acts > 0``; post-ReLU positivity
-        equals pre-ReLU positivity, so the bits match the serial path).
-        All elementwise steps run in place on the matmul result — fewer
-        temporaries, identical float-op order.
+        A fit sees at most three row counts per stack width (full
+        minibatch, ragged last minibatch, validation), so the views are
+        kept until the next :meth:`compact`.
         """
-        activations = [x]
-        masks = []
+        space = self._workspaces.get(rows)
+        if space is None:
+            k = self.n_models
+
+            def views(bufs: List[np.ndarray]) -> List[np.ndarray]:
+                return [
+                    buf[: k * rows * w].reshape(k, rows, w)
+                    for buf, w in zip(bufs, self._widths)
+                ]
+
+            space = self._workspaces[rows] = _Workspace(
+                views(self._acts_buf), views(self._masks_buf), views(self._deltas_buf)
+            )
+        return space
+
+    def forward(self, x: np.ndarray, with_masks: bool = True) -> np.ndarray:
+        """Forward pass over ``x`` of shape (K, n, d), n <= ``max_rows``.
+
+        Returns the output, a view into the workspace that the next call
+        overwrites.  The activations and, with ``with_masks``, the ReLU
+        masks stay in the workspace for backprop (post-ReLU positivity
+        equals pre-ReLU positivity, so the bits match the serial
+        ``acts > 0``).  Elementwise steps run in place on the matmul result
+        in the serial float-op order.
+        """
+        space = self._workspace(x.shape[1])
         out = x
         last = len(self.weights) - 1
-        for idx, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out = np.matmul(out, w)
+        for idx, (w, b, act) in enumerate(zip(self.weights, self.biases, space.acts)):
+            out = np.matmul(out, w, out=act)
             out += b
             if idx != last:
                 np.maximum(out, 0.0, out=out)  # ReLU
                 if with_masks:
-                    masks.append(out > 0)
-            activations.append(out)
-        return out, activations, masks
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x, with_masks=False)[0]
+                    np.greater(out, 0.0, out=space.masks[idx])
+        return out
 
     def train_batch(self, x: np.ndarray, y: np.ndarray, lr: float, l2: float) -> None:
         """One minibatch step for all K models (same rows for each model)."""
-        out, acts, masks = self.forward(x)
-        delta = out - y  # dMSE/dout, per model: 2 * (out - y) / n
-        delta *= 2.0
+        out = self.forward(x)
+        space = self._workspace(x.shape[1])
+        delta = np.subtract(out, y, out=space.deltas[-1])
+        delta *= 2.0  # dMSE/dout, per model: 2 * (out - y) / n
         delta /= x.shape[1]
         for idx in range(len(self.weights) - 1, -1, -1):
-            np.matmul(acts[idx].transpose(0, 2, 1), delta, out=self._grads_w[idx])
+            inputs = space.acts[idx - 1] if idx > 0 else x
+            np.matmul(inputs.transpose(0, 2, 1), delta, out=self._grads_w[idx])
             # np.add.reduce == ndarray.sum minus the Python method wrapper.
             np.add.reduce(delta, axis=1, keepdims=True, out=self._grads_b[idx])
             if idx > 0:
-                delta = np.matmul(delta, self.weights[idx].transpose(0, 2, 1))
-                delta *= masks[idx - 1]  # ReLU gradient
+                delta = np.matmul(delta, self._weights_t[idx], out=space.deltas[idx - 1])
+                delta *= space.masks[idx - 1]  # ReLU gradient
         # L2 term for every weight (not bias) in one slice op; elementwise,
         # so the per-parameter float sequence matches the serial
         # ``acts.T @ delta + l2 * w``.
-        self.grads[:, : self._w_total] += l2 * self.params[:, : self._w_total]
+        w_total = self._w_total
+        decay = np.multiply(
+            self.params[:, :w_total], l2, out=self._scratch[0][:, :w_total]
+        )
+        self.grads[:, :w_total] += decay
         self._adam_step(lr)
 
     def _adam_step(self, lr: float) -> None:
@@ -290,16 +358,16 @@ class _BatchedMlp:
         c1 = 1 - _ADAM_BETA1**self._adam_t
         c2 = 1 - _ADAM_BETA2**self._adam_t
         grad, m, v = self.grads, self._adam_m, self._adam_v
+        step, denom = self._scratch
         m *= _ADAM_BETA1  # m = beta1 * m + (1 - beta1) * grad
-        grad_m = grad * (1 - _ADAM_BETA1)
-        m += grad_m
+        m += np.multiply(grad, 1 - _ADAM_BETA1, out=step)
         v *= _ADAM_BETA2  # v = beta2 * v + ((1 - beta2) * grad) * grad
-        grad_v = grad * (1 - _ADAM_BETA2)
-        grad_v *= grad
-        v += grad_v
-        step = m / c1  # lr * m_hat / (sqrt(v_hat) + eps)
+        np.multiply(grad, 1 - _ADAM_BETA2, out=step)
+        step *= grad
+        v += step
+        np.divide(m, c1, out=step)  # lr * m_hat / (sqrt(v_hat) + eps)
         step *= lr
-        denom = v / c2
+        np.divide(v, c2, out=denom)
         np.sqrt(denom, out=denom)
         denom += _ADAM_EPS
         step /= denom
@@ -314,18 +382,18 @@ class _BatchedMlp:
         """Copy current params of stack rows into ``dest`` at ``dest_rows``."""
         dest[dest_rows] = self.params[stack_rows]
 
-    def compact(self, keep: np.ndarray) -> None:
-        """Drop converged models from the stack (boolean ``keep`` mask).
+    def compact(self, kept: np.ndarray) -> None:
+        """Drop converged models from the stack (ascending ``kept`` rows).
 
-        Per-slice tensor ops are independent, so shrinking the leading axis
-        leaves the surviving models' float streams untouched; the dropped
-        models' best snapshots were taken before they froze.
+        The survivors' params and Adam moments move into the front rows of
+        their buffers and every view is rebuilt over that prefix.  Per-slice
+        tensor ops are independent, so shrinking the leading axis leaves
+        the surviving models' float streams untouched; the dropped models'
+        best snapshots were taken before they froze.
         """
-        self.n_models = int(keep.sum())
-        self.params = self.params[keep]
-        self.grads = np.empty_like(self.params)
-        self._adam_m = self._adam_m[keep]
-        self._adam_v = self._adam_v[keep]
+        for buf in (self._params_buf, self._adam_m_buf, self._adam_v_buf):
+            _move_rows_to_front(buf, kept)
+        self.n_models = kept.size
         self._build_views()
 
     def extract_model(self, snapshot: np.ndarray, index: int) -> _Mlp:
@@ -336,6 +404,25 @@ class _BatchedMlp:
             weights.append(row[w_off : w_off + fan_in * fan_out].reshape(fan_in, fan_out))
             biases.append(row[b_off : b_off + fan_out])
         return _Mlp.from_params(weights, biases)
+
+
+class _Workspace(NamedTuple):
+    """Per-layer (K, rows, width) views of one row count; masks skip the output."""
+
+    acts: List[np.ndarray]
+    masks: List[np.ndarray]
+    deltas: List[np.ndarray]
+
+
+def _move_rows_to_front(buf: np.ndarray, rows: np.ndarray) -> None:
+    """Copy ``buf[rows]`` (ascending indices) onto ``buf[:rows.size]`` in place.
+
+    Row ``rows[i] >= i`` is read before any later copy can overwrite it,
+    so the move needs no temporary.
+    """
+    for dst, src in enumerate(rows.tolist()):
+        if dst != src:
+            buf[dst] = buf[src]
 
 
 @dataclass
@@ -396,10 +483,13 @@ def _prepare_batch(matrix: np.ndarray, cfg: MlpConfig) -> _Prepared:
     x_mean = features.mean(axis=1)  # (K, d)
     x_std = features.std(axis=1)
     x_std[x_std < 1e-9] = 1.0
-    # Scalar y stats per model as flat 1-D reductions: numpy's inner-axis
-    # 2-D reduction sums in a different order than the serial path's flat
-    # ``targets.mean()``, so a vectorized mean here would drift in the last
-    # ulp.  K scalar reductions per fit are free.
+    # Scalar y stats per model as flat 1-D reductions.  ``target_rows`` is
+    # laid out n-major in memory (fancy indexing along axis 1 does that), so
+    # ``target_rows.mean(axis=1)`` would reduce a strided outer axis, which
+    # numpy accumulates row after row instead of pairwise like the serial
+    # ``targets.mean()``: it drifts in the last ulp.  A row-wise mean over
+    # C-contiguous rows sums pairwise and is bit-identical (the validation
+    # loss relies on that).  K scalar reductions per fit are free.
     y_mean = np.array([float(row.mean()) for row in target_rows])
     y_std = np.array([float(row.std()) or 1.0 for row in target_rows])
     x = (features - x_mean[:, None, :]) / x_std[:, None, :]
@@ -422,19 +512,29 @@ def _prepare_batch(matrix: np.ndarray, cfg: MlpConfig) -> _Prepared:
         x_std=x_std,
         y_mean=y_mean,
         y_std=y_std,
-        x_train=x[:, train_idx],
-        y_train=y[:, train_idx],
-        x_val=x[:, val_idx],
-        y_val=y[:, val_idx],
+        # take() returns C-contiguous (K, n, .) arrays, so the per-epoch
+        # gather in the fit can write into its buffers without a copy.
+        x_train=x.take(train_idx, axis=1),
+        y_train=y.take(train_idx, axis=1),
+        x_val=x.take(val_idx, axis=1),
+        y_val=y.take(val_idx, axis=1),
         sizes=sizes,
         rng=rng,
     )
 
 
 def _flat_val_losses(net: _BatchedMlp, x_val: np.ndarray, y_val: np.ndarray) -> np.ndarray:
-    """Per-model validation MSE as flat 1-D reductions (see y_mean note)."""
-    squared = (net.predict(x_val) - y_val) ** 2
-    return np.array([float(row.mean()) for row in squared.reshape(net.n_models, -1)])
+    """Per-model validation MSE, computed in the output activation buffer.
+
+    The row-wise ``mean(axis=1)`` sums each model's contiguous row
+    pairwise, exactly like the serial flat ``mean()`` (see the y_mean note
+    in :func:`_prepare_batch`; pinned by
+    ``tests/prediction/test_batched_workspace.py``).
+    """
+    squared = net.forward(x_val, with_masks=False)
+    squared -= y_val
+    np.square(squared, out=squared)
+    return squared[:, :, 0].mean(axis=1)
 
 
 def _models_from_batch(
@@ -473,7 +573,7 @@ def models_from_params(
     store-persisted refit without replaying it.
     """
     prepared = _prepare_batch(matrix, cfg)
-    net = _BatchedMlp(matrix.shape[0], prepared.sizes, prepared.rng)
+    net = _BatchedMlp(matrix.shape[0], prepared.sizes, prepared.rng, max_rows=0)
     return _models_from_batch(matrix, cfg, prepared, net, state.params, state.epochs)
 
 
@@ -508,11 +608,11 @@ def fit_equal_length_state(
     model draws from its own copy of the shared-seed RNG stream and all
     tensor math is row-local — so the bound is purely a working-set knob
     for the fleet-fused path (see :data:`FUSED_SLAB_MODELS`).  The claim
-    leans on every reduction in the kernel being per-row flat (see the
-    y_mean note in :func:`_prepare_batch`): a vectorized inner-axis mean
-    would put a ``(1, n)`` remainder slab in a different float family
-    than a wide stack, and the slab-straddling equivalence tests would
-    catch it.
+    leans on every per-model reduction summing like the serial flat one
+    (see the y_mean note in :func:`_prepare_batch`): a mean over a strided
+    outer axis would put a wide stack in a different float family than a
+    ``(1, n)`` remainder slab, and the slab-straddling equivalence tests
+    would catch it.
     """
     n_models = matrix.shape[0]
     if max_models is not None:
@@ -536,11 +636,16 @@ def fit_equal_length_state(
             )
             return models, state
     prepared = _prepare_batch(matrix, cfg)
+    # The split arrays belong to this fit: compaction moves the live models'
+    # rows to their front in place, and each epoch's shuffle is gathered into
+    # preallocated buffers, so the epoch loop allocates no training data.
     x_train, y_train = prepared.x_train, prepared.y_train
     x_val, y_val = prepared.x_val, prepared.y_val
+    x_epoch, y_epoch = np.empty(x_train.shape), np.empty(y_train.shape)
+    n_train = x_train.shape[1]
     rng = prepared.rng
 
-    net = _BatchedMlp(n_models, prepared.sizes, rng)
+    net = _BatchedMlp(n_models, prepared.sizes, rng, max(cfg.batch_size, x_val.shape[1]))
     if init_params is not None:
         if init_params.shape != net.params.shape:
             raise ValueError(
@@ -559,16 +664,20 @@ def fit_equal_length_state(
     # Models still training, as original positions into the (shrinking) stack.
     live = np.arange(n_models)
     for _ in range(cfg.max_epochs):
-        if live.size == 0:
+        k = live.size
+        if k == 0:
             break
-        perm = rng.permutation(x_train.shape[1])
-        x_epoch, y_epoch = x_train[:, perm], y_train[:, perm]  # one gather per epoch
-        for lo in range(0, perm.size, cfg.batch_size):
+        perm = rng.permutation(n_train)
+        # One gather per epoch; mode="clip" (a no-op on a permutation) lets
+        # take write straight into ``out`` instead of through a temporary.
+        np.take(x_train[:k], perm, axis=1, out=x_epoch[:k], mode="clip")
+        np.take(y_train[:k], perm, axis=1, out=y_epoch[:k], mode="clip")
+        for lo in range(0, n_train, cfg.batch_size):
             hi = lo + cfg.batch_size
             net.train_batch(
-                x_epoch[:, lo:hi], y_epoch[:, lo:hi], cfg.learning_rate, cfg.l2
+                x_epoch[:k, lo:hi], y_epoch[:k, lo:hi], cfg.learning_rate, cfg.l2
             )
-        val_loss = _flat_val_losses(net, x_val, y_val)
+        val_loss = _flat_val_losses(net, x_val[:k], y_val[:k])
         epochs_run[live] += 1
         improved = val_loss < best_val[live] - 1e-6
         if improved.any():
@@ -580,12 +689,15 @@ def fit_equal_length_state(
         if frozen.any():
             # Converged models leave the tensor stack — the batch narrows to
             # exactly the work the serial path would still be doing.
-            keep = ~frozen
-            live = live[keep]
-            net.compact(keep)
-            x_train, y_train = x_train[keep], y_train[keep]
-            x_val, y_val = x_val[keep], y_val[keep]
+            kept = np.flatnonzero(~frozen)
+            live = live[kept]
+            net.compact(kept)
+            for arr in (x_train, y_train, x_val, y_val):
+                _move_rows_to_front(arr, kept)
 
+    obs.inc("mlp.models", float(n_models))
+    obs.inc("mlp.model_epochs", float(epochs_run.sum()))
+    obs.inc("mlp.early_stopped", float(np.count_nonzero(epochs_run < cfg.max_epochs)))
     models = _models_from_batch(matrix, cfg, prepared, net, best_state, epochs_run)
     state = BatchFitState(params=best_state, best_val=best_val, epochs=epochs_run)
     return models, state

@@ -172,6 +172,27 @@ class TestObservability:
         snap = obs.metrics_snapshot()
         assert snap["gauges"]["fused.models_per_pass"] == 2.0
 
+    def test_kernel_counters_match_fit_state(self):
+        obs.reset_metrics()
+        matrix = np.stack(make_histories(7, 24 * 4, seed=64))
+        _, state = fit_equal_length_state(matrix, FAST)
+        counters = obs.metrics_snapshot()["counters"]
+        assert counters["mlp.models"] == state.epochs.size
+        assert counters["mlp.model_epochs"] == state.epochs.sum()
+        assert counters["mlp.early_stopped"] == np.sum(state.epochs < FAST.max_epochs)
+        assert 0 < counters["mlp.early_stopped"] < counters["mlp.models"]
+
+    def test_kernel_counters_independent_of_slab_width(self):
+        matrix = np.stack(make_histories(7, 24 * 4, seed=65))
+        readings = []
+        for max_models in (None, 1, 3, 7):
+            obs.reset_metrics()
+            fit_equal_length_state(matrix, FAST, max_models=max_models)
+            counters = obs.metrics_snapshot()["counters"]
+            readings.append({k: v for k, v in counters.items() if k.startswith("mlp.")})
+        assert all(reading == readings[0] for reading in readings)
+        assert readings[0]["mlp.models"] == 7
+
     def test_default_slab_width_is_bounded(self):
         # The RSS contract: mega-batches train as bounded slabs, never the
         # whole fleet at once.
