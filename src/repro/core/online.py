@@ -51,13 +51,12 @@ Steps are *incremental* by default, restarting nothing they can reuse:
   ``refit_every_steps=1`` the cap is always due, so both gates leave the
   legacy path bit-identical.
 
-:func:`run_online_fleet` fans boxes out across worker processes exactly
-like the offline pipeline: :class:`~repro.core.executor.FleetExecutor`
-windowed streaming dispatch, :class:`~repro.store.shards.ShardedFleet`
+:func:`run_online_fleet` runs on the same fleet kernel as the offline
+pipeline (:func:`repro.core.streaming.run_fleet`): windowed streaming
+dispatch over worker processes, :class:`~repro.store.shards.ShardedFleet`
 accepted with manifest-only eligibility and zero-pickle
-:class:`~repro.store.shards.BoxShardRef` dispatch, and one streaming
-aggregation fold shared with the serial path (bit-identical for any
-worker count).
+:class:`~repro.store.shards.BoxShardRef` dispatch, and results folded in
+fleet box order (bit-identical for any worker count).
 """
 
 from __future__ import annotations
@@ -79,9 +78,8 @@ from repro.core.degrade import (
     ErrorReport,
     sanitize_demands,
 )
-from repro.core.executor import FleetExecutor
 from repro.core.runtime import drift_gate_enabled
-from repro.core.streaming import fleet_results
+from repro.core.streaming import run_fleet
 from repro.prediction.combined import SpatialTemporalPredictor
 from repro.prediction.temporal.seasonal import phase_aligned_slot_means_batch
 from repro.resizing.evaluate import ResizingAlgorithm, resize_allocation
@@ -544,11 +542,9 @@ def run_online_fleet(
 
     Per-box failures outside the fit/predict ladder do not abort the
     fleet: the box is recorded in ``result.report`` (rung ``"failed"``)
-    and the remaining boxes run to completion.  A fleet with *no* eligible
-    box likewise degrades to an empty result with one fleet-level
-    ``"failed"`` event rather than raising.  Pass ``degrade=False`` to
-    restore fail-fast propagation (including the no-eligible-box
-    ``ValueError``).
+    and the remaining boxes run to completion.  Pass ``degrade=False`` to
+    restore fail-fast propagation.  A fleet with *no* box long enough for
+    an online run raises ``ValueError`` either way.
 
     ``fleet`` may be an in-RAM :class:`FleetTrace` or a
     :class:`repro.store.shards.ShardedFleet`; for the latter, eligibility
@@ -559,47 +555,21 @@ def run_online_fleet(
     ``chunksize`` and ``retries`` forward to the executor.
     """
     cfg = config or AtmConfig()
-    needed = cfg.training_windows + cfg.horizon_windows
-    if hasattr(fleet, "box_refs"):
-        # Sharded fleet: eligibility comes from the manifest; no shard is
-        # opened in the parent, and workers receive the refs themselves.
-        eligible = [ref for ref in fleet.box_refs() if ref.n_windows >= needed]
-    else:
-        eligible = [box for box in fleet if box.n_windows >= needed]
-
-    results: Dict[str, OnlineRunResult] = {}
-    report = ErrorReport()
-    if not eligible:
-        reason = f"no box in fleet {fleet.name!r} supports an online run"
-        if not degrade:
-            raise ValueError(reason)
-        obs.inc("online.fleets_empty")
-        report.add(
-            DegradationEvent(
-                box_id=f"fleet:{fleet.name}",
-                stage="fleet",
-                rung=RUNG_FAILED,
-                reason=reason,
-            )
-        )
-        return OnlineFleetResult(results=results, report=report)
-
-    executor = FleetExecutor(jobs=jobs, chunksize=chunksize, retries=retries)
-    with obs.span("online.fleet"):
-        # One fold for both the streaming and the materialized path: only
-        # the iterator differs (see repro.core.streaming), so the two are
-        # bit-identical by construction.
-        for result, events in fleet_results(
-            executor,
-            _run_box_online,
-            eligible,
-            cfg,
-            refit_every_steps,
-            drift_threshold,
-            degrade,
-        ):
-            report.extend(events)
-            if result is None:
-                continue
-            results[result.box_id] = result
-    return OnlineFleetResult(results=results, report=report)
+    out = OnlineFleetResult()
+    for result, events in run_fleet(
+        fleet,
+        _run_box_online,
+        cfg,
+        refit_every_steps,
+        drift_threshold,
+        degrade,
+        needed_windows=cfg.training_windows + cfg.horizon_windows,
+        jobs=jobs,
+        chunksize=chunksize,
+        retries=retries,
+        span="online.fleet",
+    ):
+        out.report.extend(events)
+        if result is not None:
+            out.results[result.box_id] = result
+    return out

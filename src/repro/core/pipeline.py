@@ -20,9 +20,9 @@ At paper scale the fleet argument can be a
 manifest alone, workers receive few-hundred-byte shard *descriptors*
 instead of pickled traces and memory-map their boxes locally, and results
 are folded into the aggregates as chunks land
-(:mod:`repro.core.streaming`) instead of accumulating a full result list
-— peak RSS stays flat as the fleet grows.  ``REPRO_STREAM_AGG=0``
-restores the materialized-list path for bit-identical verification.
+(:func:`repro.core.streaming.run_fleet`, the fleet kernel every fleet
+entry point shares) instead of accumulating a full result list — peak
+RSS stays flat as the fleet grows.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ from repro.core.degrade import (
     DegradationEvent,
     ErrorReport,
 )
-from repro.core.executor import FleetExecutor, default_chunksize
 from repro.core.results import PredictionAccuracy, ape_cdf
-from repro.core.streaming import fleet_results
+from repro.core.streaming import FUSED_CHUNK_BOXES, run_fleet
 from repro.resizing.evaluate import FleetReduction, ResizingAlgorithm
 from repro.timeseries.ecdf import Ecdf
 from repro.timeseries.metrics import finite_mean
@@ -51,15 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.shards import ShardedFleet
 
 __all__ = ["FUSED_CHUNK_BOXES", "FleetAtmResult", "run_fleet_atm"]
-
-#: Upper bound on boxes gathered into one fused training chunk.  The
-#: fused plane holds every gathered box's training slice and controller
-#: live for the duration of the chunk, so the cap keeps the per-worker
-#: gather footprint flat (tens of MB at paper-sized boxes) and preserves
-#: the sublinear peak-RSS scaling pinned by BENCH_scale.json — fusion
-#: batches per chunk, never per fleet.
-FUSED_CHUNK_BOXES = 64
-
 
 @dataclass
 class FleetAtmResult:
@@ -340,7 +330,7 @@ def run_fleet_atm(
 
     Boxes too short for the configured training + horizon windows are
     skipped (the paper likewise restricts its ATM study to the subset of
-    gap-free boxes).
+    gap-free boxes); a fleet with no eligible box raises ``ValueError``.
 
     ``fleet`` may be an in-RAM :class:`FleetTrace` or a
     :class:`repro.store.shards.ShardedFleet`; for the latter, eligibility
@@ -375,49 +365,26 @@ def run_fleet_atm(
     """
     cfg = config or AtmConfig()
     out = FleetAtmResult(config=cfg)
-    needed = cfg.training_windows + cfg.horizon_windows
-    if hasattr(fleet, "box_refs"):
-        # Sharded fleet: eligibility comes from the manifest; no shard is
-        # opened in the parent, and workers receive the refs themselves.
-        eligible = [ref for ref in fleet.box_refs() if ref.n_windows >= needed]
-    else:
-        eligible = [box for box in fleet if box.n_windows >= needed]
-    if not eligible:
-        raise ValueError(
-            f"no box in fleet {fleet.name!r} has the {needed} windows required"
-        )
-    executor = FleetExecutor(jobs=jobs, chunksize=chunksize, retries=retries)
-    chunk_fn = None
-    if _fused_eligible(cfg):
-        chunk_fn = _run_box_atm_fused_chunk
-        if chunksize is None:
-            # Cap fused chunks: the gather phase holds a whole chunk's
-            # training slices at once, so the RSS bound must come from
-            # the chunk size, never the fleet size.  Serially there is no
-            # straggler risk to balance, so take the whole cap — bigger
-            # chunks mean fuller mega-batches.
-            executor.chunksize = (
-                FUSED_CHUNK_BOXES
-                if executor.jobs == 1
-                else min(
-                    default_chunksize(len(eligible), executor.jobs),
-                    FUSED_CHUNK_BOXES,
-                )
-            )
-    obs.inc("pipeline.boxes", len(eligible))
-    with obs.span("pipeline.fleet"):
-        # One fold for both the streaming and the materialized path: only
-        # the iterator differs (see repro.core.streaming), so the two are
-        # bit-identical by construction.
-        for result, events in fleet_results(
-            executor, _run_box_atm, eligible, cfg, degrade, resume, chunk_fn=chunk_fn
-        ):
-            out.report.extend(events)
-            if result is None:
-                continue
-            out.accuracies.append(result.accuracy)
-            for reduction in result.reductions.values():
-                out.reduction.add(reduction)
-            if keep_box_results:
-                out.box_results.append(result)
+    for result, events in run_fleet(
+        fleet,
+        _run_box_atm,
+        cfg,
+        degrade,
+        resume,
+        needed_windows=cfg.training_windows + cfg.horizon_windows,
+        chunk_fn=_run_box_atm_fused_chunk if _fused_eligible(cfg) else None,
+        jobs=jobs,
+        chunksize=chunksize,
+        retries=retries,
+        span="pipeline.fleet",
+    ):
+        obs.inc("pipeline.boxes")
+        out.report.extend(events)
+        if result is None:
+            continue
+        out.accuracies.append(result.accuracy)
+        for reduction in result.reductions.values():
+            out.reduction.add(reduction)
+        if keep_box_results:
+            out.box_results.append(result)
     return out

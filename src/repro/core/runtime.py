@@ -24,10 +24,6 @@ Variable                    Default    Meaning
 ``REPRO_STORE``             unset      Directory of the persistent artifact
                                        store's disk tier
                                        (see :mod:`repro.store`).
-``REPRO_STREAM_AGG``        on         Streaming constant-memory fleet
-                                       aggregation (``0`` restores the
-                                       full-result-list path for bit-identical
-                                       verification).
 ``REPRO_WARM_REFIT``        on         Warm-started temporal refits in the
                                        online controller (``0`` forces cold
                                        per-step fits, the bit-identical
@@ -80,7 +76,6 @@ __all__ = [
     "SLA_ACK_ENV_VAR",
     "SLA_RESOLVE_ENV_VAR",
     "STORE_ENV_VAR",
-    "STREAM_AGG_ENV_VAR",
     "VECTOR_ENV_VAR",
     "WARM_REFIT_ENV_VAR",
     "RuntimeSettings",
@@ -98,7 +93,6 @@ __all__ = [
     "sla_ack_windows",
     "sla_resolve_windows",
     "store_dir",
-    "stream_agg_enabled",
     "vector_spatial_enabled",
     "warm_refit_enabled",
 ]
@@ -111,7 +105,6 @@ METRICS_ENV_VAR = "REPRO_METRICS"
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 FAULTS_SEED_ENV_VAR = "REPRO_FAULTS_SEED"
 STORE_ENV_VAR = "REPRO_STORE"
-STREAM_AGG_ENV_VAR = "REPRO_STREAM_AGG"
 WARM_REFIT_ENV_VAR = "REPRO_WARM_REFIT"
 DRIFT_GATE_ENV_VAR = "REPRO_DRIFT_GATE"
 FUSED_FLEET_ENV_VAR = "REPRO_FUSED_FLEET"
@@ -183,11 +176,6 @@ def store_dir() -> Optional[str]:
     return raw or None
 
 
-def stream_agg_enabled() -> bool:
-    """Whether streaming fleet aggregation is active (default on)."""
-    return _flag(STREAM_AGG_ENV_VAR)
-
-
 def warm_refit_enabled() -> bool:
     """Whether online temporal refits warm-start from stored parameters
     (default on)."""
@@ -250,7 +238,6 @@ class RuntimeSettings:
     faults_spec: str
     faults_seed: int
     store_dir: Optional[str]
-    stream_agg: bool
     warm_refit: bool
     drift_gate: bool
     fused_fleet: bool
@@ -276,7 +263,6 @@ def settings() -> RuntimeSettings:
         faults_spec=faults_spec(),
         faults_seed=faults_seed(),
         store_dir=store_dir(),
-        stream_agg=stream_agg_enabled(),
         warm_refit=warm_refit_enabled(),
         drift_gate=drift_gate_enabled(),
         fused_fleet=fused_fleet_enabled(),

@@ -1,26 +1,29 @@
-"""Streaming constant-memory fleet aggregation.
+"""The fleet kernel: one streaming, constant-memory loop over a fleet's boxes.
 
-At paper scale (6K boxes) the fleet sweeps cannot park every per-box
-result in a list before reducing: a ``BoxAtmResult`` carries predicted
-and allocation matrices, so a full-fleet result list costs O(fleet ×
-trace) RAM for values the aggregates immediately collapse into scalars.
-This module holds the pieces both fleet entry points
-(:func:`repro.core.pipeline.run_fleet_atm`,
-:func:`repro.resizing.evaluate.evaluate_fleet_resizing`) share:
+The paper deploys ATM per box and evaluates it as a per-box loop over the
+fleet.  Every fleet entry point —
+:func:`repro.core.pipeline.run_fleet_atm`,
+:func:`repro.resizing.evaluate.evaluate_fleet_resizing`,
+:func:`repro.core.online.run_online_fleet` and
+:func:`repro.tickets.ops.run_fleet_ops` — runs that loop through
+:func:`run_fleet`, which owns everything the loop needs besides the
+per-box work and the fold:
 
-* :func:`fleet_results` — the gate between the streaming and the
-  materialized dispatch.  With ``REPRO_STREAM_AGG`` on (the default) it
-  returns :meth:`FleetExecutor.imap`'s ordered generator, so each heavy
-  per-box result is folded and dropped before the next chunk lands; with
-  the gate off it returns the fully materialized ``map`` list — the
-  legacy path kept for bit-identical verification.  Both produce the
-  same values in the same order, so the *fold code is shared verbatim*
-  by construction and equivalence is structural, not coincidental.
-* :class:`TicketHistogram` — an incremental fixed-bin reducer over
-  per-box ticket reductions (the Fig. 8/10 axis), so reduction shapes
-  survive a streaming sweep without any per-box list growing with
-  payloads.
+* listing the boxes: a ``FleetTrace``'s boxes, or a
+  :class:`~repro.store.shards.ShardedFleet`'s ``box_refs()`` so no shard
+  is opened in the parent and workers receive descriptors;
+* eligibility (``n_windows >= needed_windows``) and the one empty-fleet
+  rule: no eligible box raises ``ValueError``;
+* :class:`~repro.core.executor.FleetExecutor` construction, including the
+  fused-chunk cap;
+* the caller's ``*.fleet`` span;
+* streaming dispatch through :meth:`FleetExecutor.imap`: each heavy
+  per-box result is folded and dropped before the next chunk lands, so
+  resident results stay O(workers), not O(fleet).
 
+:class:`TicketHistogram` is an incremental fixed-bin reducer over
+per-box ticket reductions (the Fig. 8/10 axis), so reduction shapes
+survive a streaming sweep without any per-box list growing with payloads.
 The reducers here are deliberately plain Python (ints and a short
 counts list): they are updated once per box from inside the fold loop
 and must never become the thing that scales with fleet size.
@@ -29,38 +32,77 @@ and must never become the thing that scales with fleet size.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Iterator, List, Optional, Sequence
 
-from repro.core import runtime
-from repro.core.executor import FleetExecutor
+from repro import obs
+from repro.core.executor import FleetExecutor, default_chunksize
 
-__all__ = ["TicketHistogram", "fleet_results"]
+__all__ = ["FUSED_CHUNK_BOXES", "TicketHistogram", "run_fleet"]
+
+#: Upper bound on boxes gathered into one fused training chunk.  The
+#: fused plane holds every gathered box's training slice and controller
+#: live for the duration of the chunk, so the cap keeps the per-worker
+#: gather footprint flat (tens of MB at paper-sized boxes) and preserves
+#: the sublinear peak-RSS scaling pinned by BENCH_scale.json — fusion
+#: batches per chunk, never per fleet.
+FUSED_CHUNK_BOXES = 64
 
 
-def fleet_results(
-    executor: FleetExecutor,
-    fn: Callable[..., Any],
-    items: Iterable[Any],
+def run_fleet(
+    fleet: Any,
+    box_fn: Callable[..., Any],
     *common: Any,
+    needed_windows: int = 0,
+    item_fn: Optional[Callable[[Any], Any]] = None,
     chunk_fn: Optional[Callable[..., Sequence[Any]]] = None,
+    jobs: Optional[int] = None,
+    chunksize: Optional[int] = None,
+    retries: int = 0,
+    span: str,
 ) -> Iterator[Any]:
-    """Yield per-item worker results in input order, streaming when gated on.
+    """Yield ``box_fn(item, *common)`` for every eligible box, in fleet order.
 
-    ``REPRO_STREAM_AGG`` on (default): :meth:`FleetExecutor.imap` — chunks
-    are yielded as they land and the caller's fold releases each result
-    before the next arrives, keeping resident results O(workers).
+    Boxes shorter than ``needed_windows`` are skipped; a fleet with no
+    eligible box raises ``ValueError`` before any work starts, whatever
+    the caller's degradation policy.  ``item_fn`` maps each eligible box
+    (a ``BoxTrace`` or a ``BoxShardRef``) to the item ``box_fn`` receives;
+    by default the box itself.
 
-    ``REPRO_STREAM_AGG=0``: :meth:`FleetExecutor.map` materializes the
-    full result list first (the pre-streaming behaviour), then iterates
-    it — the verification path for bit-identical comparison.
+    ``chunk_fn``, when given, runs each chunk's items together (the
+    fleet-fused training plane).  Unless ``chunksize`` is set, its chunks
+    are capped at :data:`FUSED_CHUNK_BOXES`: the gather phase holds a
+    whole chunk's training slices at once, so the RSS bound must come
+    from the chunk size, never the fleet size.  Serially there is no
+    straggler risk to balance, so a chunk takes the whole cap — bigger
+    chunks mean fuller mega-batches.
 
-    ``chunk_fn`` is forwarded to the executor unchanged: when given, each
-    chunk's items are handed to it together instead of looping ``fn``
-    (the fleet-fused training plane rides through here).
+    ``jobs``, ``chunksize`` and ``retries`` configure the
+    :class:`FleetExecutor`; results arrive in fleet box order for any
+    worker count.  The returned generator times its whole iteration,
+    the caller's fold included, under the ``span`` timer.
     """
-    if runtime.stream_agg_enabled():
-        return executor.imap(fn, items, *common, chunk_fn=chunk_fn)
-    return iter(executor.map(fn, items, *common, chunk_fn=chunk_fn))
+    boxes = fleet.box_refs() if hasattr(fleet, "box_refs") else fleet
+    items = [box for box in boxes if box.n_windows >= needed_windows]
+    if not items:
+        raise ValueError(
+            f"no box in fleet {fleet.name!r} has the {needed_windows} "
+            "windows required"
+        )
+    if item_fn is not None:
+        items = [item_fn(box) for box in items]
+    executor = FleetExecutor(jobs=jobs, chunksize=chunksize, retries=retries)
+    if chunk_fn is not None and chunksize is None:
+        executor.chunksize = (
+            FUSED_CHUNK_BOXES
+            if executor.jobs == 1
+            else min(default_chunksize(len(items), executor.jobs), FUSED_CHUNK_BOXES)
+        )
+    return _timed(span, executor.imap(box_fn, items, *common, chunk_fn=chunk_fn))
+
+
+def _timed(span: str, results: Iterator[Any]) -> Iterator[Any]:
+    with obs.span(span):
+        yield from results
 
 
 class TicketHistogram:

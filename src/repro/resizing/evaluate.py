@@ -33,7 +33,7 @@ import numpy as np
 from repro import obs
 from repro.core import faults
 from repro.core.degrade import RUNG_FAILED, DegradationEvent, ErrorReport
-from repro.core.streaming import TicketHistogram, fleet_results
+from repro.core.streaming import TicketHistogram, run_fleet
 from repro.resizing.baselines import max_min_fairness_allocation, stingy_allocation
 from repro.resizing.greedy import solve_greedy
 from repro.resizing.mckp import build_mckp
@@ -409,9 +409,9 @@ def evaluate_fleet_resizing(
 
     ``fleet`` may be an in-RAM :class:`FleetTrace` or a
     :class:`repro.store.shards.ShardedFleet`; for the latter, work items
-    carry shard descriptors that workers memory-map locally, and results
-    stream into the aggregates as chunks land (``REPRO_STREAM_AGG=0``
-    restores the materialized-list path).
+    carry shard descriptors that workers memory-map locally.  Results
+    stream into the aggregates as chunks land
+    (:func:`repro.core.streaming.run_fleet`).
 
     Parameters
     ----------
@@ -435,40 +435,29 @@ def evaluate_fleet_resizing(
         persistent store (``REPRO_STORE`` / ``--store``); no-op without
         one.
     """
-    from repro.core.executor import FleetExecutor
 
-    # Sharded fleets contribute refs (box_id available from the manifest);
-    # in-RAM fleets contribute the boxes themselves.
-    boxes = fleet.box_refs() if hasattr(fleet, "box_refs") else fleet
-    items = []
-    for box in boxes:
-        sizing_by_resource: Dict[Resource, Optional[np.ndarray]] = {}
-        if sizing_demands is not None:
-            for resource in resources:
-                sizing_by_resource[resource] = sizing_demands.get(
-                    (box.box_id, resource)
-                )
-        items.append((box, sizing_by_resource))
+    def with_sizing(box) -> Tuple[BoxTrace, Dict[Resource, Optional[np.ndarray]]]:
+        if sizing_demands is None:
+            return box, {}
+        return box, {r: sizing_demands.get((box.box_id, r)) for r in resources}
 
-    executor = FleetExecutor(jobs=jobs)
-    obs.inc("resize.boxes", len(items))
     summary = FleetReduction()
-    with obs.span("resize.fleet"):
-        # Shared fold for the streaming and materialized paths; only the
-        # iterator differs (see repro.core.streaming).
-        for results, events in fleet_results(
-            executor,
-            _evaluate_box_worker,
-            items,
-            tuple(resources),
-            policy,
-            tuple(algorithms),
-            eval_windows,
-            epsilon_pct,
-            degrade,
-            resume,
-        ):
-            summary.report.extend(events)
-            for result in results:
-                summary.add(result)
+    for results, events in run_fleet(
+        fleet,
+        _evaluate_box_worker,
+        tuple(resources),
+        policy,
+        tuple(algorithms),
+        eval_windows,
+        epsilon_pct,
+        degrade,
+        resume,
+        item_fn=with_sizing,
+        jobs=jobs,
+        span="resize.fleet",
+    ):
+        obs.inc("resize.boxes")
+        summary.report.extend(events)
+        for result in results:
+            summary.add(result)
     return summary

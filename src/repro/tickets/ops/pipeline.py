@@ -10,13 +10,13 @@ and explained by content-addressed evidence bundles
 
 The fleet loop reuses the whole scaling substrate:
 
-* per-box work fans out through :class:`repro.core.executor.FleetExecutor`
-  (``jobs``), accepting :class:`~repro.store.shards.ShardedFleet` refs so
-  workers memory-map their boxes;
-* results stream through :func:`repro.core.streaming.fleet_results` and
-  fold into fixed-size reducers — per-box payloads (ticket records,
-  usage slices) never accumulate in the parent, so the loop is
-  constant-memory at 6k boxes;
+* per-box work fans out through the fleet kernel
+  :func:`repro.core.streaming.run_fleet` (``jobs``), accepting
+  :class:`~repro.store.shards.ShardedFleet` refs so workers memory-map
+  their boxes;
+* results stream back and fold into fixed-size reducers — per-box
+  payloads (ticket records, usage slices) never accumulate in the
+  parent, so the loop is constant-memory at 6k boxes;
 * each box's outcome is a ``ticket_ops`` artifact in :mod:`repro.store`
   (``--resume`` serves finished boxes), and every incident's evidence
   bundle persists under its own fingerprint;
@@ -42,8 +42,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.core.executor import FleetExecutor
-from repro.core.streaming import fleet_results
+from repro.core.streaming import run_fleet
 from repro.store import ArtifactKey, config_fingerprint, default_store, register_codec
 from repro.tickets.incidents import group_incidents
 from repro.tickets.monitor import tickets_for_box
@@ -470,23 +469,17 @@ def run_fleet_ops(
 ) -> FleetOpsResult:
     """Run the monitor → incident → route → resolve loop over a fleet.
 
-    Every box is eligible (the loop needs no training windows).  The fold
-    is shared verbatim between the streaming and the materialized path
-    (:func:`repro.core.streaming.fleet_results`), so serial, parallel and
-    sharded runs produce identical aggregates and digests.
+    Every box is eligible (the loop needs no training windows).  Results
+    fold in fleet box order (:func:`repro.core.streaming.run_fleet`), so
+    serial, parallel and sharded runs produce identical aggregates and
+    digests.
     """
     cfg = config or OpsConfig()
     out = FleetOpsResult(config=cfg)
-    if hasattr(fleet, "box_refs"):
-        items = list(fleet.box_refs())
-    else:
-        items = list(fleet)
-    if not items:
-        raise ValueError("fleet contains no boxes")
-    executor = FleetExecutor(jobs=jobs, chunksize=chunksize)
-    with obs.span("ops.fleet"):
-        for result in fleet_results(executor, run_box_ops, items, cfg, resume):
-            out.fold(result)
+    for result in run_fleet(
+        fleet, run_box_ops, cfg, resume, jobs=jobs, chunksize=chunksize, span="ops.fleet"
+    ):
+        out.fold(result)
     return out
 
 

@@ -176,18 +176,10 @@ class TestFleetRunner:
             assert results[box_id] is result
         assert results.report.ok  # healthy run -> empty report
 
-    def test_no_eligible_boxes_degrades_to_empty_result(self, config):
+    @pytest.mark.parametrize("degrade", [True, False], ids=["degrade", "fail_fast"])
+    def test_no_eligible_boxes_rejected(self, config, degrade):
+        # No eligible box is a fleet-level error whatever the per-box
+        # degradation policy: there is nothing to degrade to.
         fleet = generate_fleet(FleetConfig(n_boxes=2, days=1, seed=3))
-        result = run_online_fleet(fleet, config)
-        assert len(result) == 0
-        assert not result.report.ok
-        (event,) = result.report.events
-        assert event.rung == "failed"
-        assert event.stage == "fleet"
-        assert "supports an online run" in event.reason
-        assert np.isnan(result.reduction_percent())
-
-    def test_no_eligible_boxes_rejected_when_fail_fast(self, config):
-        fleet = generate_fleet(FleetConfig(n_boxes=2, days=1, seed=3))
-        with pytest.raises(ValueError):
-            run_online_fleet(fleet, config, degrade=False)
+        with pytest.raises(ValueError, match="windows required"):
+            run_online_fleet(fleet, config, degrade=degrade)

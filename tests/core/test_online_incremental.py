@@ -206,14 +206,13 @@ class TestParallelFleet:
         assert _fleet_digest(in_ram) == _fleet_digest(from_shards)
 
     def test_sharded_eligibility_from_manifest(self, tmp_path):
-        # 1-day boxes are manifest-ineligible; the fleet degrades to the
-        # empty result without opening a single shard.
+        # 1-day boxes are manifest-ineligible; the fleet is rejected
+        # without opening a single shard.
         fleet = generate_fleet(FleetConfig(n_boxes=2, days=1, seed=3))
         write_fleet_shards(fleet, tmp_path)
         sharded = load_fleet_shards(tmp_path)
-        result = run_online_fleet(sharded, _seasonal_config())
-        assert len(result) == 0
-        assert not result.report.ok
+        with pytest.raises(ValueError, match="windows required"):
+            run_online_fleet(sharded, _seasonal_config())
 
     def test_fleet_aggregates_sum_per_box(self):
         fleet = generate_fleet(FleetConfig(n_boxes=3, days=7, seed=62))

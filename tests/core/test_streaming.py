@@ -1,26 +1,28 @@
-"""Streaming aggregation: bit-identity with the list path, shard dispatch.
+"""The fleet kernel: serial/parallel and sharded/in-RAM identity, spans.
 
-The acceptance bar for the streaming engine: with ``REPRO_STREAM_AGG`` on
-(default) versus off (the materialized legacy path), every downstream
-number — per-box accuracies, ticket counts, fleet means, degradation
-reports — is bit-identical, including on fleets where injected faults
-drive boxes down the degradation ladder.  And a shard-backed fleet must
-reproduce the in-RAM fleet's results exactly while workers receive only
-descriptors.
+Every fleet entry point runs through :func:`repro.core.streaming.run_fleet`.
+The acceptance bar: a ``jobs=2`` run reproduces the serial run bit for
+bit — per-box accuracies, ticket counts, fleet means and degradation
+reports — including on fleets where injected faults drive boxes down the
+degradation ladder; a shard-backed fleet reproduces the in-RAM fleet
+while workers receive only descriptors; and each call records exactly
+one ``*.fleet`` span.
 """
 
 import math
 
 import pytest
 
+from repro import obs
 from repro.benchhelpers.scaling import fingerprint_result
 from repro.core.config import AtmConfig
+from repro.core.online import run_online_fleet
 from repro.core.pipeline import run_fleet_atm
-from repro.core.runtime import STREAM_AGG_ENV_VAR, stream_agg_enabled
 from repro.core.streaming import TicketHistogram
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.resizing.evaluate import evaluate_fleet_resizing
 from repro.store.shards import write_fleet_shards, load_fleet_shards
+from repro.tickets.ops import run_fleet_ops
 from repro.tickets.policy import TicketPolicy
 from repro.trace import model
 from repro.trace.model import FORBID_GENERATION_ENV_VAR
@@ -40,24 +42,8 @@ def atm_config():
     )
 
 
-class TestGate:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv(STREAM_AGG_ENV_VAR, raising=False)
-        assert stream_agg_enabled()
-
-    def test_zero_disables(self, monkeypatch):
-        monkeypatch.setenv(STREAM_AGG_ENV_VAR, "0")
-        assert not stream_agg_enabled()
-
-    def test_settings_snapshot_carries_gate(self, monkeypatch):
-        from repro.core.runtime import settings
-
-        monkeypatch.setenv(STREAM_AGG_ENV_VAR, "off")
-        assert settings().stream_agg is False
-
-
 class TestStreamingEquivalence:
-    """Streaming fold == materialized fold, bit for bit."""
+    """Serial fold == parallel fold, bit for bit, under the same faults."""
 
     def test_atm_identical_on_degraded_fleet(
         self, pipeline_fleet_6d, atm_config, monkeypatch
@@ -65,32 +51,111 @@ class TestStreamingEquivalence:
         # Inject primary-fit faults so boxes actually climb the ladder:
         # equivalence must hold for reports too, not just happy paths.
         monkeypatch.setenv("REPRO_FAULTS", "fit_error:p=0.5")
-        monkeypatch.setenv(STREAM_AGG_ENV_VAR, "1")
-        streamed = run_fleet_atm(pipeline_fleet_6d, atm_config, jobs=2, chunksize=1)
-        monkeypatch.setenv(STREAM_AGG_ENV_VAR, "0")
-        listed = run_fleet_atm(pipeline_fleet_6d, atm_config, jobs=2, chunksize=1)
-        assert fingerprint_result(streamed) == fingerprint_result(listed)
-        assert streamed.report == listed.report
-        assert not streamed.report.ok  # the faults really fired
+        serial = run_fleet_atm(pipeline_fleet_6d, atm_config, jobs=1)
+        parallel = run_fleet_atm(pipeline_fleet_6d, atm_config, jobs=2, chunksize=1)
+        assert fingerprint_result(parallel) == fingerprint_result(serial)
+        assert parallel.report == serial.report
+        assert not serial.report.ok  # the faults really fired
 
     def test_resize_identical_on_faulty_fleet(self, small_fleet, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "box_error:p=0.4")
         policy = TicketPolicy(60.0)
-        monkeypatch.setenv(STREAM_AGG_ENV_VAR, "1")
-        streamed = evaluate_fleet_resizing(
+        serial = evaluate_fleet_resizing(small_fleet, policy, eval_windows=96, jobs=1)
+        parallel = evaluate_fleet_resizing(
             small_fleet, policy, eval_windows=96, jobs=2
         )
-        monkeypatch.setenv(STREAM_AGG_ENV_VAR, "0")
-        listed = evaluate_fleet_resizing(small_fleet, policy, eval_windows=96, jobs=2)
-        assert streamed.results == listed.results
-        assert streamed.report == listed.report
-        assert not streamed.report.ok
-        assert streamed.histogram.as_dict() == listed.histogram.as_dict()
+        assert parallel.results == serial.results
+        assert parallel.report == serial.report
+        assert not serial.report.ok
+        assert parallel.histogram.as_dict() == serial.histogram.as_dict()
 
     def test_serial_streaming_matches_parallel(self, pipeline_fleet_6d, atm_config):
         serial = run_fleet_atm(pipeline_fleet_6d, atm_config, jobs=1)
         parallel = run_fleet_atm(pipeline_fleet_6d, atm_config, jobs=3, chunksize=1)
         assert fingerprint_result(serial) == fingerprint_result(parallel)
+
+
+def _resize_digest(result):
+    return result.results, result.report, result.histogram.as_dict()
+
+
+def _online_digest(result):
+    boxes = {
+        box_id: tuple(
+            (
+                s.day_index,
+                s.resource.value,
+                float(s.ape).hex(),
+                s.tickets_static,
+                s.tickets_atm,
+                s.allocation.tobytes(),
+                s.rung,
+            )
+            for s in run.steps
+        )
+        for box_id, run in result.items()
+    }
+    return boxes, result.report
+
+
+def _ops_digest(result):
+    return (
+        result.boxes,
+        result.tickets,
+        result.incidents,
+        result.assignment_digest,
+        result.evidence_digest,
+    )
+
+
+_SEASONAL = AtmConfig.with_clustering(ClusteringMethod.CBC, temporal_model="seasonal_mean")
+_POLICY = TicketPolicy(60.0)
+
+#: name -> (call(fleet, jobs), digest, the call's fleet span)
+ENTRY_POINTS = {
+    "atm": (
+        lambda fleet, jobs: run_fleet_atm(fleet, _SEASONAL, jobs=jobs),
+        fingerprint_result,
+        "pipeline.fleet",
+    ),
+    "resize": (
+        lambda fleet, jobs: evaluate_fleet_resizing(
+            fleet, _POLICY, eval_windows=96, jobs=jobs
+        ),
+        _resize_digest,
+        "resize.fleet",
+    ),
+    "online": (
+        lambda fleet, jobs: run_online_fleet(fleet, _SEASONAL, jobs=jobs),
+        _online_digest,
+        "online.fleet",
+    ),
+    "ops": (
+        lambda fleet, jobs: run_fleet_ops(fleet, jobs=jobs),
+        _ops_digest,
+        "ops.fleet",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_fleet_kernel_entry_point(entry, tmp_path, pipeline_fleet_6d):
+    """Each entry point: serial == jobs=2, sharded == in-RAM, one fleet span."""
+    call, digest, span = ENTRY_POINTS[entry]
+    write_fleet_shards(pipeline_fleet_6d, tmp_path)
+    sharded = load_fleet_shards(tmp_path)
+    digests = []
+    for fleet, jobs in ((pipeline_fleet_6d, 1), (pipeline_fleet_6d, 2), (sharded, 1)):
+        obs.reset_metrics()
+        digests.append(digest(call(fleet, jobs)))
+        spans = obs.metrics_snapshot()["spans"]
+        fleet_spans = {
+            name: stat["count"] for name, stat in spans.items() if name.endswith(".fleet")
+        }
+        assert fleet_spans == {span: 1}
+    serial, parallel, via_shards = digests
+    assert parallel == serial
+    assert via_shards == serial
 
 
 class TestShardedDispatch:
@@ -134,10 +199,12 @@ class TestShardedDispatch:
 
     def test_eligibility_from_manifest(self, tmp_path, small_fleet, atm_config):
         # A one-day fleet is too short for the 6-day ATM setup; the sharded
-        # path must reject it from the manifest alone, like the in-RAM path.
+        # path must reject it from the manifest alone, like the in-RAM path,
+        # and an empty fleet is an error whatever the degradation policy.
         write_fleet_shards(small_fleet, tmp_path)
-        with pytest.raises(ValueError, match="windows required"):
-            run_fleet_atm(load_fleet_shards(tmp_path), atm_config)
+        for degrade in (True, False):
+            with pytest.raises(ValueError, match="windows required"):
+                run_fleet_atm(load_fleet_shards(tmp_path), atm_config, degrade=degrade)
 
 
 class TestTicketHistogram:
