@@ -4,8 +4,9 @@ Benchmarks the fleet-level fused temporal training plane (PR: fused
 mega-batches + parallel shard generation) against the strictly per-box
 baseline it replaces:
 
-* **baseline** — ``REPRO_FUSED_FLEET=0``, serial shard generation,
-  ``jobs=1`` pipeline: the previous per-box execution model.
+* **baseline** — strictly per-box stage execution (``_fused_eligible``
+  patched to refuse fusion), serial shard generation, ``jobs=1``
+  pipeline: the previous per-box execution model.
 * **fused** — fused plane on, ``repro shard --jobs N`` parallel
   generation, ``jobs=N`` pipeline: chunk workers gather all their boxes'
   signature series into cross-box ``(ΣK, P)`` mega-batches and train them
@@ -91,14 +92,16 @@ def _result_digest(result) -> str:
 def _run_leg(mode: str, n_boxes: int, jobs: int, seed: int = 20160628) -> dict:
     """Child body: one end-to-end leg (shard generation + fleet run)."""
     from repro import obs
-    from repro.core import AtmConfig, run_fleet_atm
+    from repro.core import AtmConfig, pipeline, run_fleet_atm
     from repro.prediction.spatial.signatures import ClusteringMethod
     from repro.store.shards import ShardedFleet, generate_fleet_shards
     from repro.trace.generator import FleetConfig
     from repro.trace.model import FORBID_GENERATION_ENV_VAR
 
     fused = mode == "fused"
-    os.environ["REPRO_FUSED_FLEET"] = "1" if fused else "0"
+    if not fused:
+        # The per-box path every model without a fleet fitter takes.
+        pipeline._fused_eligible = lambda config: False
     leg_jobs = jobs if fused else 1
 
     obs.reset_metrics()

@@ -1,12 +1,13 @@
 """Batched temporal training — per-box fit speedup over serial MLP fits.
 
 For every box of the shared pipeline fleet the ATM fit trains one MLP per
-signature series.  This bench times that inner loop both ways — per-series
-``NeuralNetPredictor.fit`` versus the batched tensor kernel
-(``fit_neural_batch``) — on the exact signature histories the fig09/fig10
-pipeline trains on, asserts the results are bit-identical, and requires a
-≥3× aggregate speedup (single-process vectorization: no extra cores
-needed).
+signature series.  This bench times that inner loop both ways — the
+one-model-at-a-time serial training loop (the test oracle
+``tests/prediction/serial_mlp.py``) per series versus the batched tensor
+kernel (``fit_neural_batch``) — on the exact signature histories the
+fig09/fig10 pipeline trains on, asserts the results are bit-identical, and
+requires a ≥3× aggregate speedup (single-process vectorization: no extra
+cores needed).
 
 It also re-times the fig09/fig10 pipeline compute at ``jobs=1`` and writes
 ``BENCH_temporal.json`` next to the repo root — per-box fit seconds plus
@@ -22,6 +23,7 @@ Also runnable as a script::
 import argparse
 import hashlib
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -34,7 +36,13 @@ from repro.core import AtmConfig, run_fleet_atm
 from repro.prediction.spatial.cache import SIGNATURE_CACHE
 from repro.prediction.spatial.signatures import ClusteringMethod, search_signature_set
 from repro.prediction.temporal.batched import fit_neural_batch
-from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
+from repro.prediction.temporal.neural import MlpConfig
+
+# The serial leg is the test suite's oracle; import it from the checkout.
+_ROOT = Path(__file__).resolve().parent.parent
+if str(_ROOT) not in sys.path:
+    sys.path.insert(0, str(_ROOT))
+from tests.prediction.serial_mlp import SerialNeuralNetPredictor  # noqa: E402
 
 pytestmark = pytest.mark.slow
 
@@ -80,9 +88,9 @@ def per_box_speedup(n_boxes=8, config=None):
     for box in fleet.boxes[:n_boxes]:
         histories = _signature_histories(box, cfg)
         if len(histories) < 2:
-            continue  # K=1 routes to the serial path by design
+            continue  # a one-model box has no stack to vectorize
         serial_s, serial = _time_best(
-            lambda: [NeuralNetPredictor(mlp).fit(h) for h in histories]
+            lambda: [SerialNeuralNetPredictor(mlp).fit(h) for h in histories]
         )
         batched_s, batched = _time_best(lambda: fit_neural_batch(histories, mlp))
         for s, b in zip(serial, batched):
@@ -219,6 +227,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    import sys
-
     sys.exit(main())

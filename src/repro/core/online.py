@@ -507,7 +507,6 @@ def _run_box_online(
     """
     from repro.store.shards import resolve_box
 
-    obs.inc("online.boxes")
     try:
         faults.inject_fault("box_error", box.box_id)
         controller = OnlineAtmController(
@@ -569,6 +568,7 @@ def run_online_fleet(
         retries=retries,
         span="online.fleet",
     ):
+        obs.inc("online.boxes")
         out.report.extend(events)
         if result is not None:
             out.results[result.box_id] = result

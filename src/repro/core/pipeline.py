@@ -15,6 +15,12 @@ work climbs the policy ladder (configured model → seasonal-mean fallback →
 reported failure) and :class:`FleetAtmResult.report` carries the structured
 degradation events; healthy boxes are unaffected, bit for bit.
 
+When the temporal model registers a fleet fitter (the neural default),
+each executor chunk trains all its boxes' signature models together in
+one fused cross-box pass (:func:`_run_box_atm_fused_chunk`), with the
+same per-box results; the strictly per-box unit of work runs every other
+model and re-runs any box that fails inside a fused chunk.
+
 At paper scale the fleet argument can be a
 :class:`repro.store.shards.ShardedFleet`: eligibility is decided from the
 manifest alone, workers receive few-hundred-byte shard *descriptors*
@@ -173,20 +179,13 @@ def _run_box_ladder(
 def _fused_eligible(config: AtmConfig) -> bool:
     """Whether the fleet-fused training plane applies under ``config``.
 
-    Fusion needs the batched temporal engine (it extends the same kernel)
-    and a registered fleet fitter for the configured model; either
-    ``REPRO_FUSED_FLEET=0`` or ``REPRO_BATCHED_TEMPORAL=0`` restores
-    strictly per-box stage execution.
+    It does whenever the configured temporal model registers a fleet
+    fitter (the neural default).  Other models run the strictly per-box
+    :func:`_run_box_atm`, which is also every fused box's fallback.
     """
-    from repro.core import runtime
     from repro.prediction.registry import has_fleet_fitter
-    from repro.prediction.temporal.batched import batched_temporal_enabled
 
-    return (
-        runtime.fused_fleet_enabled()
-        and batched_temporal_enabled()
-        and has_fleet_fitter(config.prediction.temporal_model)
-    )
+    return has_fleet_fitter(config.prediction.temporal_model)
 
 
 def _run_box_atm_fused_chunk(

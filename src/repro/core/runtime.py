@@ -12,8 +12,6 @@ Variable                    Default    Meaning
                                        (``<= 0`` = all cores).
 ``REPRO_VECTOR_SPATIAL``    on         Vectorized spatial linear-algebra engine
                                        (``0`` restores per-column reference).
-``REPRO_BATCHED_TEMPORAL``  on         Batched multi-series temporal training
-                                       (``0`` forces per-series fits).
 ``REPRO_SIGNATURE_CACHE``   on         In-process memory tier of the signature
                                        search (``0`` disables memoization).
 ``REPRO_METRICS``           on         :mod:`repro.obs` counters/span timers
@@ -31,11 +29,6 @@ Variable                    Default    Meaning
 ``REPRO_DRIFT_GATE``        on         Drift-gated signature re-search in the
                                        online controller (``0`` restores the
                                        fixed ``refit_every_steps`` cadence).
-``REPRO_FUSED_FLEET``       on         Fleet-level fused temporal training:
-                                       chunk workers merge all their boxes'
-                                       signature fits into cross-box
-                                       mega-batches (``0`` restores strictly
-                                       per-box stage execution).
 ``REPRO_ROUTE_QUEUES``      ``2``      Responder queues the ticket-operations
                                        loop routes incidents into (CLI
                                        ``tickets --queues`` overrides).
@@ -63,10 +56,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
-    "BATCHED_ENV_VAR",
     "DRIFT_GATE_ENV_VAR",
     "FAULTS_ENV_VAR",
-    "FUSED_FLEET_ENV_VAR",
     "FAULTS_SEED_ENV_VAR",
     "JOBS_ENV_VAR",
     "METRICS_ENV_VAR",
@@ -79,12 +70,10 @@ __all__ = [
     "VECTOR_ENV_VAR",
     "WARM_REFIT_ENV_VAR",
     "RuntimeSettings",
-    "batched_temporal_enabled",
     "drift_gate_enabled",
     "env_jobs",
     "faults_seed",
     "faults_spec",
-    "fused_fleet_enabled",
     "metrics_enabled",
     "route_queues",
     "scenario_name",
@@ -99,7 +88,6 @@ __all__ = [
 
 JOBS_ENV_VAR = "REPRO_JOBS"
 VECTOR_ENV_VAR = "REPRO_VECTOR_SPATIAL"
-BATCHED_ENV_VAR = "REPRO_BATCHED_TEMPORAL"
 SIGNATURE_CACHE_ENV_VAR = "REPRO_SIGNATURE_CACHE"
 METRICS_ENV_VAR = "REPRO_METRICS"
 FAULTS_ENV_VAR = "REPRO_FAULTS"
@@ -107,7 +95,6 @@ FAULTS_SEED_ENV_VAR = "REPRO_FAULTS_SEED"
 STORE_ENV_VAR = "REPRO_STORE"
 WARM_REFIT_ENV_VAR = "REPRO_WARM_REFIT"
 DRIFT_GATE_ENV_VAR = "REPRO_DRIFT_GATE"
-FUSED_FLEET_ENV_VAR = "REPRO_FUSED_FLEET"
 ROUTE_QUEUES_ENV_VAR = "REPRO_ROUTE_QUEUES"
 SCENARIO_ENV_VAR = "REPRO_SCENARIO"
 SLA_ACK_ENV_VAR = "REPRO_SLA_ACK_WINDOWS"
@@ -142,11 +129,6 @@ def env_jobs() -> Optional[int]:
 def vector_spatial_enabled() -> bool:
     """Whether the vectorized spatial engine is active (default on)."""
     return _flag(VECTOR_ENV_VAR)
-
-
-def batched_temporal_enabled() -> bool:
-    """Whether batched multi-series temporal training is active (default on)."""
-    return _flag(BATCHED_ENV_VAR)
 
 
 def signature_cache_enabled() -> bool:
@@ -185,11 +167,6 @@ def warm_refit_enabled() -> bool:
 def drift_gate_enabled() -> bool:
     """Whether the online signature re-search is drift-gated (default on)."""
     return _flag(DRIFT_GATE_ENV_VAR)
-
-
-def fused_fleet_enabled() -> bool:
-    """Whether fleet-level fused temporal training is active (default on)."""
-    return _flag(FUSED_FLEET_ENV_VAR)
 
 
 def _int_env(name: str, default: int, minimum: int) -> int:
@@ -232,7 +209,6 @@ class RuntimeSettings:
 
     jobs: Optional[int]
     vector_spatial: bool
-    batched_temporal: bool
     signature_cache: bool
     metrics: bool
     faults_spec: str
@@ -240,7 +216,6 @@ class RuntimeSettings:
     store_dir: Optional[str]
     warm_refit: bool
     drift_gate: bool
-    fused_fleet: bool
     route_queues: int
     sla_ack_windows: int
     sla_resolve_windows: int
@@ -257,7 +232,6 @@ def settings() -> RuntimeSettings:
     return RuntimeSettings(
         jobs=env_jobs(),
         vector_spatial=vector_spatial_enabled(),
-        batched_temporal=batched_temporal_enabled(),
         signature_cache=signature_cache_enabled(),
         metrics=metrics_enabled(),
         faults_spec=faults_spec(),
@@ -265,7 +239,6 @@ def settings() -> RuntimeSettings:
         store_dir=store_dir(),
         warm_refit=warm_refit_enabled(),
         drift_gate=drift_gate_enabled(),
-        fused_fleet=fused_fleet_enabled(),
         route_queues=route_queues(),
         sla_ack_windows=sla_ack_windows(),
         sla_resolve_windows=sla_resolve_windows(),

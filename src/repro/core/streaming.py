@@ -35,6 +35,7 @@ import math
 from typing import Any, Callable, Iterator, List, Optional, Sequence
 
 from repro import obs
+from repro.core import faults
 from repro.core.executor import FleetExecutor, default_chunksize
 
 __all__ = ["FUSED_CHUNK_BOXES", "TicketHistogram", "run_fleet"]
@@ -64,9 +65,13 @@ def run_fleet(
 
     Boxes shorter than ``needed_windows`` are skipped; a fleet with no
     eligible box raises ``ValueError`` before any work starts, whatever
-    the caller's degradation policy.  ``item_fn`` maps each eligible box
-    (a ``BoxTrace`` or a ``BoxShardRef``) to the item ``box_fn`` receives;
-    by default the box itself.
+    the caller's degradation policy.  So does a malformed ``REPRO_FAULTS``
+    spec: the fault plan is resolved here, once, rather than inside each
+    box's degradation ladder, which would report every box failed.
+
+    ``item_fn`` maps each eligible box (a ``BoxTrace`` or a
+    ``BoxShardRef``) to the item ``box_fn`` receives; by default the box
+    itself.
 
     ``chunk_fn``, when given, runs each chunk's items together (the
     fleet-fused training plane).  Unless ``chunksize`` is set, its chunks
@@ -88,6 +93,7 @@ def run_fleet(
             f"no box in fleet {fleet.name!r} has the {needed_windows} "
             "windows required"
         )
+    faults.active_plan()  # parses REPRO_FAULTS: a bad spec raises here
     if item_fn is not None:
         items = [item_fn(box) for box in items]
     executor = FleetExecutor(jobs=jobs, chunksize=chunksize, retries=retries)

@@ -7,35 +7,34 @@ epoch on 64×9 matrices).  This module stacks the K models along a leading
 axis and runs forward, backprop and Adam as 3-D ``np.matmul`` tensor ops:
 one Python-level training loop for the whole batch instead of K.
 
-Equivalence to the serial path is exact, not approximate:
+This kernel is the only MLP training loop: ``NeuralNetPredictor.fit`` is
+its K=1 case, :func:`fit_neural_batch` stacks one box's series and
+:func:`fit_neural_fused` many boxes'.  Each model is bit-identical to the
+textbook one-model loop (forward, backprop, Adam, early stopping on 2-D
+arrays), kept as the oracle ``tests/prediction/serial_mlp.py``:
 
-* Every series uses the same ``MlpConfig.seed``, so the K serial RNG
+* Every series uses the same ``MlpConfig.seed``, so the K per-model RNG
   streams are identical; drawing the validation split, weight init and
   per-epoch shuffles once from a single generator reproduces each stream.
 * Batched ``np.matmul``/reductions apply the same BLAS/pairwise kernels
-  per stacked slice as the 2-D serial ops, so every float op sees the same
-  operands in the same order (pinned by
+  per stacked slice as the 2-D one-model ops, so every float op sees the
+  same operands in the same order (pinned by
   ``tests/prediction/test_batched_temporal.py``, which asserts
   bit-identical forecasts).
 * Early stopping is per-model via a convergence mask: a model whose
   validation loss stalls for ``patience`` epochs leaves the stack exactly
-  when its serial twin would break out of the loop, and the batch compacts
-  to the survivors — total training work equals the serial path's, with
-  the Python dispatch overhead divided by the stack width.  Each model's
-  result is its best-validation snapshot, matching
-  ``net.restore(best_state)`` serially.
+  when its one-model twin would break out of the loop, and the batch
+  compacts to the survivors — total training work equals K one-model
+  fits', with the Python dispatch overhead divided by the stack width.
+  Each model's result is its best-validation snapshot.
 * A shared Adam step counter is valid because a *live* model's step count
   always equals the global one; converged models take no further steps.
 
 Histories of different lengths are grouped and each equal-length group is
 batched (within a box all signature series share the training window, so
-this is one group in practice).
-
-Set ``REPRO_BATCHED_TEMPORAL=0`` to fall back to per-series serial fits
-everywhere the kernel is threaded (``SpatialTemporalPredictor`` → the whole
-fig09/fig10 pipeline).  The kernel composes with the process-level
-``FleetExecutor`` (PR 1) multiplicatively: processes fan out over boxes,
-the batch axis vectorizes within a box.
+this is one group in practice).  The kernel composes with the
+process-level ``FleetExecutor`` multiplicatively: processes fan out over
+boxes, the batch axis vectorizes within a box.
 """
 
 from __future__ import annotations
@@ -54,19 +53,13 @@ from repro.prediction.temporal.seasonal import (
 )
 
 __all__ = [
-    "BATCHED_ENV_VAR",
     "FUSED_SLAB_MODELS",
     "BatchFitState",
-    "batched_temporal_enabled",
     "fit_equal_length_state",
     "fit_neural_batch",
     "fit_neural_fused",
     "models_from_params",
 ]
-
-#: Environment variable gating the batched kernel (default: enabled;
-#: parsed by :mod:`repro.core.runtime`).
-BATCHED_ENV_VAR = "REPRO_BATCHED_TEMPORAL"
 
 #: Default slab width of the fleet-fused kernel: how many models train in
 #: one ``(K, P)`` tensor pass.  Wider slabs amortize more Python dispatch
@@ -79,14 +72,6 @@ BATCHED_ENV_VAR = "REPRO_BATCHED_TEMPORAL"
 FUSED_SLAB_MODELS = 64
 
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
-
-
-def batched_temporal_enabled() -> bool:
-    """Whether the batched kernel is enabled (``REPRO_BATCHED_TEMPORAL``)."""
-    # Lazy import: prediction must stay importable without repro.core.
-    from repro.core.runtime import batched_temporal_enabled as _enabled
-
-    return _enabled()
 
 
 def fit_neural_batch(
@@ -105,15 +90,9 @@ def fit_neural_batch(
     for pos, arr in enumerate(arrs):
         groups.setdefault(arr.size, []).append(pos)
     for positions in groups.values():
-        if len(positions) == 1:
-            # Degenerate one-model batch: the serial fit is the same math
-            # with less per-op overhead (the 3-D kernel only pays off at
-            # stack width >= 2).
-            pos = positions[0]
-            fitted[pos] = NeuralNetPredictor(cfg).fit(arrs[pos])
-            continue
         stack = np.stack([arrs[pos] for pos in positions])
-        for pos, model in zip(positions, _fit_equal_length(stack, cfg)):
+        models, _ = fit_equal_length_state(stack, cfg)
+        for pos, model in zip(positions, models):
             fitted[pos] = model
     return fitted  # type: ignore[return-value]
 
@@ -167,12 +146,6 @@ def fit_neural_fused(
     for positions in by_length.values():
         obs.inc("fused.groups")
         obs.gauge_max("fused.models_per_pass", float(min(len(positions), max_models)))
-        if len(positions) == 1:
-            # Width-1 stacks take the serial fit, like fit_neural_batch's
-            # degenerate path (bit-identical, less per-op overhead).
-            gi, si, arr = flat[positions[0]]
-            out[gi][si] = NeuralNetPredictor(cfg).fit(arr)  # type: ignore[index]
-            continue
         stack = np.stack([flat[pos][2] for pos in positions])
         models, _ = fit_equal_length_state(stack, cfg, max_models=max_models)
         for pos, model in zip(positions, models):
@@ -397,7 +370,7 @@ class _BatchedMlp:
         self._build_views()
 
     def extract_model(self, snapshot: np.ndarray, index: int) -> _Mlp:
-        """Serial :class:`_Mlp` for model ``index`` from a params snapshot."""
+        """Inference :class:`_Mlp` for model ``index`` from a params snapshot."""
         row = snapshot[index]
         weights, biases = [], []
         for w_off, b_off, fan_in, fan_out in self._layers:
@@ -577,11 +550,6 @@ def models_from_params(
     return _models_from_batch(matrix, cfg, prepared, net, state.params, state.epochs)
 
 
-def _fit_equal_length(matrix: np.ndarray, cfg: MlpConfig) -> List[NeuralNetPredictor]:
-    """Train the K models of one equal-length batch; mirrors serial ``fit``."""
-    return fit_equal_length_state(matrix, cfg)[0]
-
-
 def fit_equal_length_state(
     matrix: np.ndarray,
     cfg: MlpConfig,
@@ -591,8 +559,8 @@ def fit_equal_length_state(
 ) -> Tuple[List[NeuralNetPredictor], BatchFitState]:
     """Train one equal-length batch, optionally warm-started.
 
-    Without ``init_params`` this is exactly the cold kernel (serial-fit
-    bit-identity preserved).  With a ``(K, P)`` buffer, training resumes
+    Without ``init_params`` this is the cold fit: each model bit-identical
+    to the one-model serial loop.  With a ``(K, P)`` buffer, training resumes
     from those weights: the buffer overwrites the He init *after* the init
     draw (keeping the rng stream aligned with a cold fit), and the warm
     parameters' own validation loss seeds the early-stopping baseline, so

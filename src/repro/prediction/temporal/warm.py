@@ -24,8 +24,8 @@ Three safety properties:
   and serves each already-computed refit with zero training — interrupted
   online runs warm-resume bit-identically.
 * **Gate** — ``REPRO_WARM_REFIT=0`` keeps callers on the cold
-  :func:`~repro.prediction.temporal.batched.fit_neural_batch` path, which
-  is bit-identical to the serial per-series fits.
+  :func:`~repro.prediction.temporal.batched.fit_neural_batch` path, the
+  same fit a fresh ``NeuralNetPredictor.fit`` per series would give.
 """
 
 from __future__ import annotations

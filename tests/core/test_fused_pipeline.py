@@ -3,20 +3,23 @@
 The fused chunk worker (:func:`repro.core.pipeline._run_box_atm_fused_chunk`)
 claims to be observable only as wall-clock: same per-box results, same
 degradation events, same store artifacts under the same keys as the
-strictly per-box path.  These tests pin that across the gate, worker
-counts, fault injection, and cross-path resume.
+strictly per-box path.  These tests pin that across worker counts, fault
+injection, and cross-path resume.  The per-box leg is reached by
+patching ``_fused_eligible`` to refuse fusion, the way a model without a
+fleet fitter is refused.
 """
 
 import os
+from unittest import mock
 
 import pytest
 
 from repro import obs
 from repro.benchhelpers.scaling import fingerprint_result
+from repro.core import pipeline
 from repro.core.config import AtmConfig
 from repro.core.faults import FaultPlan, FaultRule, fault_plan
 from repro.core.pipeline import FUSED_CHUNK_BOXES, run_fleet_atm
-from repro.core.runtime import FUSED_FLEET_ENV_VAR
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.store import clear_memory_tiers
 from repro.trace.generator import FleetConfig, generate_fleet
@@ -30,17 +33,13 @@ def fleet():
 
 
 def run(fleet, fused, **kwargs):
-    """One fleet run with the fused gate pinned, counters isolated."""
-    previous = os.environ.get(FUSED_FLEET_ENV_VAR)
-    os.environ[FUSED_FLEET_ENV_VAR] = "1" if fused else "0"
+    """One fleet run, fused or strictly per box, counters isolated."""
     obs.reset_metrics()
-    try:
+    if fused:
         result = run_fleet_atm(fleet, NEURAL, **kwargs)
-    finally:
-        if previous is None:
-            os.environ.pop(FUSED_FLEET_ENV_VAR, None)
-        else:
-            os.environ[FUSED_FLEET_ENV_VAR] = previous
+    else:
+        with mock.patch.object(pipeline, "_fused_eligible", return_value=False):
+            result = run_fleet_atm(fleet, NEURAL, **kwargs)
     return result, obs.metrics_snapshot()["counters"]
 
 
@@ -65,11 +64,18 @@ class TestEquivalence:
         assert fused.report.events == []
 
 
+class TestEligibility:
+    def test_fused_iff_fleet_fitter(self):
+        assert pipeline._fused_eligible(NEURAL)
+        seasonal = AtmConfig.with_clustering(
+            ClusteringMethod.CBC, temporal_model="seasonal_mean"
+        )
+        assert not pipeline._fused_eligible(seasonal)
+
+
 class TestChunkPolicy:
     def test_serial_fused_chunksize_takes_full_cap(self, fleet, monkeypatch):
         """jobs=1 fused runs use the whole chunk cap (fuller mega-batches)."""
-        from repro.core import pipeline
-
         seen = {}
         original = pipeline._run_box_atm_fused_chunk
 
@@ -78,7 +84,6 @@ class TestChunkPolicy:
             return original(items, *common)
 
         monkeypatch.setattr(pipeline, "_run_box_atm_fused_chunk", spy)
-        monkeypatch.setenv(FUSED_FLEET_ENV_VAR, "1")
         run_fleet_atm(fleet, NEURAL)
         # 4 boxes < the 64-box cap: one chunk holds the whole fleet.
         assert seen["chunk"] == min(fleet.n_boxes, FUSED_CHUNK_BOXES)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.config import AtmConfig
 from repro.core.online import OnlineAtmController, run_online_fleet
 from repro.prediction.spatial.signatures import ClusteringMethod
@@ -175,6 +176,18 @@ class TestFleetRunner:
         for box_id, result in results.items():
             assert results[box_id] is result
         assert results.report.ok  # healthy run -> empty report
+
+    def test_online_boxes_counts_boxes_not_attempts(self, config, monkeypatch):
+        # Every box fails its first attempt and succeeds on the retry: two
+        # boxes, four attempts, and the counter must read two.
+        monkeypatch.setenv("REPRO_FAULTS", "box_error:p=1.0,once")
+        fleet = generate_fleet(FleetConfig(n_boxes=2, days=7, seed=62))
+        obs.reset_metrics()
+        results = run_online_fleet(fleet, config, degrade=False, retries=1)
+        counters = obs.metrics_snapshot()["counters"]
+        assert len(results) == 2
+        assert counters["executor.retries"] == 2
+        assert counters["online.boxes"] == 2
 
     @pytest.mark.parametrize("degrade", [True, False], ids=["degrade", "fail_fast"])
     def test_no_eligible_boxes_rejected(self, config, degrade):

@@ -1,5 +1,7 @@
 """Tests of the consolidated ``REPRO_*`` environment gates."""
 
+import re
+
 import pytest
 
 from repro.core import executor, faults, runtime
@@ -13,7 +15,6 @@ def _clean_env(monkeypatch):
     for name in (
         runtime.JOBS_ENV_VAR,
         runtime.VECTOR_ENV_VAR,
-        runtime.BATCHED_ENV_VAR,
         runtime.SIGNATURE_CACHE_ENV_VAR,
         runtime.METRICS_ENV_VAR,
         runtime.FAULTS_ENV_VAR,
@@ -21,7 +22,6 @@ def _clean_env(monkeypatch):
         runtime.STORE_ENV_VAR,
         runtime.WARM_REFIT_ENV_VAR,
         runtime.DRIFT_GATE_ENV_VAR,
-        runtime.FUSED_FLEET_ENV_VAR,
         runtime.ROUTE_QUEUES_ENV_VAR,
         runtime.SLA_ACK_ENV_VAR,
         runtime.SLA_RESOLVE_ENV_VAR,
@@ -42,17 +42,10 @@ class TestFlags:
 
     def test_unset_means_default_on(self):
         assert runtime.vector_spatial_enabled()
-        assert runtime.batched_temporal_enabled()
         assert runtime.signature_cache_enabled()
         assert runtime.metrics_enabled()
         assert runtime.warm_refit_enabled()
         assert runtime.drift_gate_enabled()
-        assert runtime.fused_fleet_enabled()
-
-    def test_fused_fleet_gate_disables(self, monkeypatch):
-        monkeypatch.setenv(runtime.FUSED_FLEET_ENV_VAR, "0")
-        assert not runtime.fused_fleet_enabled()
-        assert not runtime.settings().fused_fleet
 
     def test_online_gates_disable(self, monkeypatch):
         monkeypatch.setenv(runtime.WARM_REFIT_ENV_VAR, "0")
@@ -129,18 +122,32 @@ class TestStrings:
 class TestSettings:
     def test_snapshot(self, monkeypatch):
         monkeypatch.setenv(runtime.JOBS_ENV_VAR, "2")
-        monkeypatch.setenv(runtime.BATCHED_ENV_VAR, "0")
+        monkeypatch.setenv(runtime.VECTOR_ENV_VAR, "0")
         monkeypatch.setenv(runtime.FAULTS_ENV_VAR, "slow:p=1.0")
         monkeypatch.setenv(runtime.STORE_ENV_VAR, "/tmp/s")
         monkeypatch.setenv(runtime.WARM_REFIT_ENV_VAR, "0")
         s = runtime.settings()
         assert s.jobs == 2
-        assert s.vector_spatial and not s.batched_temporal
+        assert not s.vector_spatial and s.signature_cache
         assert s.faults_spec == "slow:p=1.0" and s.faults_seed == 0
         assert s.store_dir == "/tmp/s"
         assert not s.warm_refit and s.drift_gate
         assert s.route_queues == 2
         assert s.sla_ack_windows == 1 and s.sla_resolve_windows == 4
+
+
+class TestInventory:
+    def test_docstring_table_lists_exactly_the_gates(self):
+        """The module docstring's table and the ``*_ENV_VAR`` constants agree."""
+        documented = set(re.findall(r"^``(REPRO_[A-Z_]+)``", runtime.__doc__, re.M))
+        constants = {
+            getattr(runtime, name)
+            for name in runtime.__all__
+            if name.endswith("_ENV_VAR")
+        }
+        assert documented == constants
+        fields = set(runtime.RuntimeSettings.__dataclass_fields__)
+        assert len(fields) == len(constants)
 
 
 class TestLegacyConstantsAgree:

@@ -25,6 +25,7 @@ from repro.store.shards import write_fleet_shards, load_fleet_shards
 from repro.tickets.ops import run_fleet_ops
 from repro.tickets.policy import TicketPolicy
 from repro.trace import model
+from repro.trace.generator import FleetConfig, generate_fleet
 from repro.trace.model import FORBID_GENERATION_ENV_VAR
 
 
@@ -156,6 +157,27 @@ def test_fleet_kernel_entry_point(entry, tmp_path, pipeline_fleet_6d):
     serial, parallel, via_shards = digests
     assert parallel == serial
     assert via_shards == serial
+
+
+class TestFaultSpec:
+    """A malformed ``REPRO_FAULTS`` fails the call, not every box."""
+
+    def test_atm_rejects_malformed_spec(
+        self, pipeline_fleet_6d, atm_config, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FAULTS", "fit_error:p=1.0:once")
+        obs.reset_metrics()
+        with pytest.raises(ValueError):
+            run_fleet_atm(pipeline_fleet_6d, atm_config)
+        assert "pipeline.boxes" not in obs.metrics_snapshot()["counters"]
+
+    def test_online_rejects_malformed_spec(self, atm_config, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "box_error:p=1.0:once")
+        fleet = generate_fleet(FleetConfig(n_boxes=2, days=7, seed=62))
+        obs.reset_metrics()
+        with pytest.raises(ValueError):
+            run_online_fleet(fleet, atm_config)
+        assert "online.boxes" not in obs.metrics_snapshot()["counters"]
 
 
 class TestShardedDispatch:

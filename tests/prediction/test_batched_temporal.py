@@ -1,25 +1,23 @@
 """Batched-vs-serial equivalence for the MLP training kernel.
 
 The batched trainer (:mod:`repro.prediction.temporal.batched`) claims
-*bit-identical* results to per-series ``NeuralNetPredictor.fit`` — not a
-tolerance, equality.  These tests pin that claim across seeds, box shapes,
-history lengths and the early-stopping edge cases, plus the integration
-through the combined predictor and the ``REPRO_BATCHED_TEMPORAL`` gate.
+*bit-identical* results to the one-model serial training loop kept in
+:mod:`tests.prediction.serial_mlp` — not a tolerance, equality.  These
+tests pin that claim across seeds, box shapes, history lengths and the
+early-stopping edge cases, for production ``NeuralNetPredictor.fit`` (the
+kernel's K=1 case) and through the combined predictor.
 """
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.prediction.combined import SpatialTemporalConfig, SpatialTemporalPredictor
 from repro.prediction.registry import fit_temporal_batch, has_batch_fitter
 from repro.prediction.spatial.signatures import ClusteringMethod, SignatureSearchConfig
-from repro.prediction.temporal.batched import (
-    BATCHED_ENV_VAR,
-    _fit_equal_length,
-    batched_temporal_enabled,
-    fit_neural_batch,
-)
+from repro.prediction.temporal.batched import fit_equal_length_state, fit_neural_batch
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
+from tests.prediction.serial_mlp import SerialNeuralNetPredictor
 
 # A small config keeps every fit fast; bit-equivalence is config-agnostic.
 FAST = MlpConfig(hidden_layers=(8, 4), period=24, max_epochs=40, patience=5)
@@ -39,7 +37,7 @@ def make_histories(k, size, seed, period=24):
 
 
 def serial_fits(histories, cfg=FAST):
-    return [NeuralNetPredictor(cfg).fit(h) for h in histories]
+    return [SerialNeuralNetPredictor(cfg).fit(h) for h in histories]
 
 
 def assert_equivalent(serial, batched, horizon=24):
@@ -75,6 +73,7 @@ class TestEquivalence:
         assert_equivalent(serial, fit_neural_batch(histories, FAST))
 
     def test_k1_routes_to_serial(self):
+        # A one-history batch trains in the kernel like any other width.
         (history,) = make_histories(1, 24 * 5, seed=5)
         (batched,) = fit_neural_batch([history], FAST)
         (serial,) = serial_fits([history])
@@ -82,9 +81,9 @@ class TestEquivalence:
 
     def test_k1_degenerate_batch_kernel(self):
         # Call the tensor kernel directly with a width-1 stack: the 3-D ops
-        # must agree with serial even without the K=1 routing shortcut.
+        # must agree with the serial loop.
         (history,) = make_histories(1, 24 * 5, seed=6)
-        (batched,) = _fit_equal_length(history[None, :], FAST)
+        ((batched,), _) = fit_equal_length_state(history[None, :], FAST)
         (serial,) = serial_fits([history])
         assert_equivalent([serial], [batched])
 
@@ -99,25 +98,37 @@ class TestEquivalence:
         # The exact production config (period=96, deeper net).
         cfg = MlpConfig(max_epochs=12)
         histories = make_histories(3, 96 * 3, seed=9, period=96)
-        serial = [NeuralNetPredictor(cfg).fit(h) for h in histories]
+        serial = serial_fits(histories, cfg)
         batched = fit_neural_batch(histories, cfg)
         assert_equivalent(serial, batched, horizon=96)
 
 
-class TestGate:
-    def test_default_enabled(self, monkeypatch):
-        monkeypatch.delenv(BATCHED_ENV_VAR, raising=False)
-        assert batched_temporal_enabled()
+class TestProductionFit:
+    """``NeuralNetPredictor.fit`` is the kernel's K=1 case: equal to the oracle."""
 
-    @pytest.mark.parametrize("value", ["0", "false", "off", "no", "FALSE"])
-    def test_disabled_values(self, monkeypatch, value):
-        monkeypatch.setenv(BATCHED_ENV_VAR, value)
-        assert not batched_temporal_enabled()
+    @pytest.mark.parametrize(
+        "cfg,size,period",
+        [
+            (FAST, 24 * 5 + 3, 24),
+            # The default config the ATM pipeline trains (period=96).
+            (MlpConfig(), 96 * 5, 96),
+        ],
+        ids=["fast-period24", "default-period96"],
+    )
+    def test_fit_bit_identical_to_oracle(self, cfg, size, period):
+        (history,) = make_histories(1, size, seed=12, period=period)
+        production = NeuralNetPredictor(cfg).fit(history)
+        oracle = SerialNeuralNetPredictor(cfg).fit(history)
+        assert type(production) is NeuralNetPredictor
+        assert_equivalent([oracle], [production], horizon=period)
 
-    @pytest.mark.parametrize("value", ["1", "true", "on", ""])
-    def test_enabled_values(self, monkeypatch, value):
-        monkeypatch.setenv(BATCHED_ENV_VAR, value)
-        assert batched_temporal_enabled()
+    def test_fit_counts_one_model(self):
+        (history,) = make_histories(1, 24 * 5, seed=13)
+        obs.reset_metrics()
+        model = NeuralNetPredictor(FAST).fit(history)
+        counters = obs.metrics_snapshot()["counters"]
+        assert counters["mlp.models"] == 1
+        assert counters["mlp.model_epochs"] == model._fit_epochs
 
 
 class TestRegistry:
@@ -139,23 +150,32 @@ class TestCombinedIntegration:
     def _matrix(self, seed=21, n_series=6, days=5, period=24):
         rng = np.random.default_rng(seed)
         t = np.arange(days * period)
-        base = 30 + 20 * np.sin(2 * np.pi * t / period)
+        # Two diurnal shapes a quarter-day apart: at least two signatures.
+        bases = [
+            30 + 20 * np.sin(2 * np.pi * t / period),
+            30 + 20 * np.cos(2 * np.pi * t / period),
+        ]
         return np.vstack(
             [
-                rng.uniform(0.5, 2.0) * base + rng.normal(0, 1.0, size=t.size)
-                for _ in range(n_series)
+                rng.uniform(0.5, 2.0) * bases[i % 2] + rng.normal(0, 1.0, size=t.size)
+                for i in range(n_series)
             ]
         )
 
-    def test_batched_matches_serial_pipeline(self, monkeypatch):
+    def test_batched_matches_serial_pipeline(self):
+        """The combined predictor equals one built on oracle-fitted models."""
         config = SpatialTemporalConfig(
             search=SignatureSearchConfig(method=ClusteringMethod.CBC),
             temporal_model="neural",
             period=24,
         )
         data = self._matrix()
-        monkeypatch.setenv(BATCHED_ENV_VAR, "0")
-        serial = SpatialTemporalPredictor(config).fit_predict(data, 24)
-        monkeypatch.setenv(BATCHED_ENV_VAR, "1")
         batched = SpatialTemporalPredictor(config).fit_predict(data, 24)
-        np.testing.assert_array_equal(serial.predictions, batched.predictions)
+
+        serial = SpatialTemporalPredictor(config)
+        histories = serial.begin_fit(data)
+        assert len(histories) >= 2, "fixture must batch several signatures"
+        mlp = MlpConfig(period=config.period)
+        serial.finish_fit([SerialNeuralNetPredictor(mlp).fit(h) for h in histories])
+        expected = serial.predict(24)
+        np.testing.assert_array_equal(expected.predictions, batched.predictions)

@@ -7,8 +7,9 @@ rests on:
 
 * a step allocates (almost) nothing, so the allocator has no large
   temporaries to hand back to the kernel and fault in again;
-* the in-place kernel is still bit-identical to the serial
-  ``NeuralNetPredictor.fit`` across compaction and ragged minibatches;
+* the in-place kernel is still bit-identical to the serial training loop
+  (:mod:`tests.prediction.serial_mlp`) across compaction and ragged
+  minibatches;
 * the vectorized validation loss (a row-wise ``mean(axis=1)``) sums
   exactly like the serial flat ``mean()`` it replaced.
 """
@@ -19,7 +20,8 @@ import numpy as np
 import pytest
 
 from repro.prediction.temporal.batched import _BatchedMlp, fit_equal_length_state
-from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
+from repro.prediction.temporal.neural import MlpConfig
+from tests.prediction.serial_mlp import SerialNeuralNetPredictor
 
 
 def make_histories(k, size, seed, period):
@@ -75,7 +77,7 @@ def test_production_width_fit_bit_identical_to_serial():
     assert len(set(epochs.tolist())) > 5  # many distinct compactions
     assert epochs.min() < cfg.max_epochs
     for history, model in zip(histories, batched):
-        serial = NeuralNetPredictor(cfg).fit(history)
+        serial = SerialNeuralNetPredictor(cfg).fit(history)
         assert serial._fit_epochs == model._fit_epochs
         np.testing.assert_array_equal(serial.predict(24), model.predict(24))
 

@@ -2,7 +2,8 @@
 
 The fleet fitter (:func:`repro.prediction.temporal.batched.fit_neural_fused`)
 claims each group's models are *bit-identical* to handing that group to
-:func:`fit_neural_batch` on its own — regardless of which other boxes ride
+:func:`fit_neural_batch` on its own, and so to the serial training loop of
+:mod:`tests.prediction.serial_mlp` — regardless of which other boxes ride
 in the same mega-batch, how ragged the group sizes are, or where the slab
 boundaries fall.  These tests pin that claim, the ``max_models`` slab
 splitting, per-group failure isolation, and the fused observability
@@ -24,7 +25,8 @@ from repro.prediction.temporal.batched import (
     fit_neural_batch,
     fit_neural_fused,
 )
-from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
+from repro.prediction.temporal.neural import MlpConfig
+from tests.prediction.serial_mlp import SerialNeuralNetPredictor
 
 # Small config keeps every fit fast; bit-equivalence is config-agnostic.
 FAST = MlpConfig(hidden_layers=(8, 4), period=24, max_epochs=40, patience=5)
@@ -64,6 +66,8 @@ class TestFusedEquivalence:
             assert fused_models is not None
             per_box = fit_neural_batch(group, FAST)
             assert_group_equivalent(per_box, fused_models)
+            serial = [SerialNeuralNetPredictor(FAST).fit(h) for h in group]
+            assert_group_equivalent(serial, fused_models)
 
     def test_slab_boundary_straddle(self):
         """A mega-batch split into tiny slabs equals the unbounded stack.
@@ -82,10 +86,10 @@ class TestFusedEquivalence:
             assert_group_equivalent(wide, narrow)
 
     def test_single_series_fleet(self):
-        """One group with one series: the degenerate serial route."""
+        """One group with one series: a width-1 stack, equal to the oracle."""
         histories = make_histories(1, 24 * 4, seed=20)
         (fused_models,) = fit_neural_fused([histories], FAST)
-        serial = NeuralNetPredictor(FAST).fit(histories[0])
+        serial = SerialNeuralNetPredictor(FAST).fit(histories[0])
         assert_group_equivalent([serial], fused_models)
 
     def test_equal_length_state_slab_identity(self):
@@ -181,6 +185,25 @@ class TestObservability:
         assert counters["mlp.model_epochs"] == state.epochs.sum()
         assert counters["mlp.early_stopped"] == np.sum(state.epochs < FAST.max_epochs)
         assert 0 < counters["mlp.early_stopped"] < counters["mlp.models"]
+
+    def test_width_one_group_counted(self):
+        """A width-1 length bucket trains in the kernel and is counted."""
+        obs.reset_metrics()
+        groups = [
+            make_histories(3, 24 * 4, seed=66),
+            make_histories(1, 24 * 5, seed=67),  # alone in its length bucket
+        ]
+        fit_neural_fused(groups, FAST)
+        counters = obs.metrics_snapshot()["counters"]
+        assert counters["fused.groups"] == 2
+        assert counters["mlp.models"] == sum(len(group) for group in groups)
+
+    def test_batch_width_one_group_counted(self):
+        """fit_neural_batch: a history alone in its length trains in the kernel."""
+        obs.reset_metrics()
+        histories = make_histories(2, 24 * 4, seed=68) + make_histories(1, 24 * 5, seed=69)
+        fit_neural_batch(histories, FAST)
+        assert obs.metrics_snapshot()["counters"]["mlp.models"] == 3
 
     def test_kernel_counters_independent_of_slab_width(self):
         matrix = np.stack(make_histories(7, 24 * 4, seed=65))

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor, _Mlp
+from tests.prediction.serial_mlp import SerialMlp
 
 
 class TestMlpCore:
+    """The textbook MLP of the serial oracle, and production inference."""
+
     def test_forward_shapes(self, rng):
-        net = _Mlp([3, 8, 1], rng)
+        net = SerialMlp([3, 8, 1], rng)
         out = net.predict(rng.normal(size=(5, 3)))
         assert out.shape == (5, 1)
 
     def test_training_reduces_loss(self, rng):
-        net = _Mlp([2, 16, 1], rng)
+        net = SerialMlp([2, 16, 1], rng)
         x = rng.normal(size=(256, 2))
         y = (x[:, :1] * 2.0 - x[:, 1:] * 0.5)
         first = net.train_batch(x, y, lr=1e-2, l2=0.0)
@@ -22,7 +25,7 @@ class TestMlpCore:
         assert last < 0.1 * first
 
     def test_snapshot_restore(self, rng):
-        net = _Mlp([2, 4, 1], rng)
+        net = SerialMlp([2, 4, 1], rng)
         state = net.snapshot()
         x = rng.normal(size=(32, 2))
         before = net.predict(x)
@@ -30,6 +33,12 @@ class TestMlpCore:
         assert not np.allclose(net.predict(x), before)
         net.restore(state)
         assert np.allclose(net.predict(x), before)
+
+    def test_inference_net_predicts_like_oracle(self, rng):
+        oracle = SerialMlp([4, 8, 3, 1], rng)
+        net = _Mlp.from_params(oracle.weights, oracle.biases)
+        x = rng.normal(size=(17, 4))
+        np.testing.assert_array_equal(net.predict(x), oracle.predict(x))
 
 
 class TestConfig:
